@@ -15,6 +15,7 @@
 #include "bench/bench_util.h"
 #include "common/compress.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "hash/hash_id.h"
 #include "localstore/local_store.h"
 #include "overlay/ring.h"
@@ -57,7 +58,7 @@ std::vector<std::string> MakeDataKeys(size_t n, Rng& rng) {
   for (size_t i = 0; i < n; ++i) {
     HashId h = HashId::OfBytes("bench-key-" + std::to_string(i));
     out.push_back(storage::keys::Data("stb_r", h,
-                                      "k" + std::to_string(rng.NextU64() % n),
+                                      StrCat({"k", std::to_string(rng.NextU64() % n)}),
                                       1 + (i & 7)));
   }
   return out;
@@ -206,7 +207,7 @@ void BenchRouting() {
   Rng rng(1);
   std::vector<HashId> hkeys;
   for (int i = 0; i < 256; ++i) {
-    hkeys.push_back(HashId::OfBytes("k" + std::to_string(rng.NextU64())));
+    hkeys.push_back(HashId::OfBytes(StrCat({"k", std::to_string(rng.NextU64())})));
   }
   const size_t reps = Smoke() ? 40000 : 2000000;
   double t0 = Now();

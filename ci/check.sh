@@ -2,6 +2,7 @@
 # CI gate. Stages:
 #
 #   tier1      configure + build (warnings-as-errors) + full ctest suite
+#   release    the same at -DCMAKE_BUILD_TYPE=Release (-O3), in build-release/
 #   sanitize   ASan/UBSan with leak detection on the suites that own async
 #              RPC state, storage churn, and the raw LocalStore paths
 #   tsan       ThreadSanitizer build + the real-thread smoke suite
@@ -51,6 +52,13 @@ tier1() {
   cmake -B build -S .
   cmake --build build -j "$jobs"
   (cd build && ctest --output-on-failure -j "$jobs")
+}
+
+release() {
+  echo "== release: Release build (warnings-as-errors) + ctest"
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-release -j "$jobs"
+  (cd build-release && ctest --output-on-failure -j "$jobs")
 }
 
 sanitize() {
@@ -295,6 +303,7 @@ PY
 
 case "$stage" in
   tier1) run_stage tier1 tier1 ;;
+  release) run_stage release release ;;
   sanitize) run_stage sanitize sanitize ;;
   tsan) run_stage tsan tsan ;;
   lint) run_stage lint lint ;;
@@ -304,6 +313,7 @@ case "$stage" in
   docs) run_stage docs_check docs ;;
   all)
     run_stage tier1 tier1
+    run_stage release release
     run_stage sanitize sanitize
     run_stage tsan tsan
     run_stage lint lint
@@ -313,7 +323,7 @@ case "$stage" in
     run_stage docs_check docs
     ;;
   *)
-    echo "usage: ci/check.sh [tier1|sanitize|tsan|lint|tidy|bench|benchdiff|docs|all]" >&2
+    echo "usage: ci/check.sh [tier1|release|sanitize|tsan|lint|tidy|bench|benchdiff|docs|all]" >&2
     exit 2
     ;;
 esac

@@ -278,13 +278,15 @@ Status PhysicalPlan::DecodeFrom(Reader* r, PhysicalPlan* out) {
 namespace {
 void PrintOp(const PhysicalPlan& plan, int32_t id, int indent, std::string* out) {
   const PhysOp& op = plan.ops[id];
+  // Built by append, not operator+ chains: GCC 12 reports a -Wrestrict
+  // false positive in std::string concatenation at -O3.
   out->append(indent, ' ');
-  *out += OpKindName(op.kind);
-  *out += "#" + std::to_string(op.id);
-  if (!op.relation.empty()) *out += " " + op.relation;
-  if (op.kind == OpKind::kSelect) *out += " " + op.predicate.ToString();
-  if (op.kind == OpKind::kAggregate && op.merge_partials) *out += " (merge)";
-  *out += "\n";
+  out->append(OpKindName(op.kind));
+  out->append("#").append(std::to_string(op.id));
+  if (!op.relation.empty()) out->append(" ").append(op.relation);
+  if (op.kind == OpKind::kSelect) out->append(" ").append(op.predicate.ToString());
+  if (op.kind == OpKind::kAggregate && op.merge_partials) out->append(" (merge)");
+  out->append("\n");
   for (int32_t c : op.children) PrintOp(plan, c, indent + 2, out);
 }
 }  // namespace

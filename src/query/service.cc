@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "common/strings.h"
 
 namespace orchestra::query {
 
@@ -1184,50 +1185,51 @@ void QueryService::MarkAborted(uint64_t query_id) {
 }
 
 std::string QueryService::DebugString() const {
-  std::string out = "QueryService@n" + std::to_string(host_->node()) + "\n";
+  std::string out;
+  StrAppend(&out, {"QueryService@n", std::to_string(host_->node()), "\n"});
   for (const auto& [qid, ex] : execs_) {
-    out += " exec q" + std::to_string(qid) + " phase=" + std::to_string(ex->cx.phase) +
-           " ship_eos_sent=" + std::to_string(ex->ship_eos_sent) + "\n";
+    StrAppend(&out, {" exec q", std::to_string(qid), " phase=", std::to_string(ex->cx.phase),
+                  " ship_eos_sent=", std::to_string(ex->ship_eos_sent), "\n"});
     for (const auto& [op, ss] : ex->scans) {
-      out += "  scan#" + std::to_string(op) +
-             " it_done=" + std::to_string(ss.iteration_done) +
-             " async=" + std::to_string(ss.async_outstanding) +
-             " pend=" + std::to_string(ss.pending_pages.size()) +
-             " part=" + std::to_string(ss.pending_partial.size()) +
-             " eos=" + std::to_string(ex->ops[op]->eos_propagated()) + " done_from=";
+      StrAppend(&out, {"  scan#", std::to_string(op),
+                    " it_done=", std::to_string(ss.iteration_done),
+                    " async=", std::to_string(ss.async_outstanding),
+                    " pend=", std::to_string(ss.pending_pages.size()),
+                    " part=", std::to_string(ss.pending_partial.size()),
+                    " eos=", std::to_string(ex->ops[op]->eos_propagated()), " done_from="});
       for (const auto& [n, ph] : ss.part_done_phase) {
-        out += "n" + std::to_string(n) + ":" + std::to_string(ph) + " ";
+        StrAppend(&out, {"n", std::to_string(n), ":", std::to_string(ph), " "});
       }
-      out += "\n";
+      out.append("\n");
     }
     for (const auto& [op, rs] : ex->rehash) {
-      out += "  rehash#" + std::to_string(op) +
-             " child_eos=" + std::to_string(rs.child_eos) +
-             " bcast=" + std::to_string(rs.eos_broadcast) + " unacked=";
+      StrAppend(&out, {"  rehash#", std::to_string(op),
+                    " child_eos=", std::to_string(rs.child_eos),
+                    " bcast=", std::to_string(rs.eos_broadcast), " unacked="});
       for (const auto& [d, u] : rs.unacked) {
         if (!u.empty()) {
-          out += "n" + std::to_string(d) + ":{";
-          for (uint32_t q : u) out += std::to_string(q) + ",";
-          out += "} ";
+          StrAppend(&out, {"n", std::to_string(d), ":{"});
+          for (uint32_t q : u) StrAppend(&out, {std::to_string(q), ","});
+          out.append("} ");
         }
       }
-      out += " marks=";
+      out.append(" marks=");
       auto it = ex->eos_from.find(op);
       if (it != ex->eos_from.end()) {
         for (const auto& [n, ph] : it->second) {
-          out += "n" + std::to_string(n) + ":" + std::to_string(ph) + " ";
+          StrAppend(&out, {"n", std::to_string(n), ":", std::to_string(ph), " "});
         }
       }
-      out += "\n";
+      out.append("\n");
     }
   }
   for (const auto& [qid, root] : roots_) {
-    out += " root q" + std::to_string(qid) + " phase=" + std::to_string(root->phase) +
-           " ship_eos=";
+    StrAppend(&out, {" root q", std::to_string(qid), " phase=", std::to_string(root->phase),
+                  " ship_eos="});
     for (const auto& [n, ph] : root->ship_eos_phase) {
-      out += "n" + std::to_string(n) + ":" + std::to_string(ph) + " ";
+      StrAppend(&out, {"n", std::to_string(n), ":", std::to_string(ph), " "});
     }
-    out += "\n";
+    out.append("\n");
   }
   return out;
 }

@@ -1,5 +1,7 @@
 #include "storage/page.h"
 
+#include <zlib.h>
+
 #include "common/log.h"
 #include "common/serial.h"
 #include "hash/sha1.h"
@@ -145,6 +147,167 @@ Status Page::DecodeFrom(Reader* r, Page* out) {
     out->ids.push_back(std::move(id));
     out->hashes.push_back(h);
   }
+  return Status::OK();
+}
+
+uint32_t PageCrc(std::string_view encoded_page) {
+  return static_cast<uint32_t>(
+      crc32(0, reinterpret_cast<const Bytef*>(encoded_page.data()),
+            static_cast<uInt>(encoded_page.size())));
+}
+
+namespace {
+
+// Page order: (placement hash, key bytes).
+int ComparePageOrder(const HashId& ha, std::string_view ka, const HashId& hb,
+                     std::string_view kb) {
+  if (ha != hb) return ha < hb ? -1 : 1;
+  int c = ka.compare(kb);
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+}
+
+// One encoded page entry (TupleId, then HashId), viewed in place.
+struct EntryView {
+  std::string_view raw;  // the whole encoded entry
+  std::string_view key;
+  HashId hash;
+};
+
+Status NextEntry(Reader* r, EntryView* e) {
+  std::string_view start = r->RemainingView();
+  uint64_t epoch;
+  ORC_RETURN_IF_ERROR(r->GetStringView(&e->key));
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&epoch));
+  ORC_RETURN_IF_ERROR(HashId::DecodeFrom(r, &e->hash));
+  e->raw = start.substr(0, start.size() - r->remaining());
+  return Status::OK();
+}
+
+}  // namespace
+
+void PageWrite::EncodeFull(std::string_view encoded_page, Writer* w) {
+  w->PutU8(static_cast<uint8_t>(Kind::kFull));
+  w->PutString(encoded_page);
+}
+
+void PageWrite::EncodeDelta(const Page& base, const Page& page, uint32_t crc,
+                            Writer* w) {
+  // One merge walk over both versions in page order.
+  Writer removed, upserts;
+  const size_t nb = base.ids.size(), nn = page.ids.size();
+  size_t i = 0, j = 0;
+  while (i < nb || j < nn) {
+    int c = i == nb   ? 1
+            : j == nn ? -1
+                      : ComparePageOrder(base.hashes[i], base.ids[i].key_bytes,
+                                         page.hashes[j], page.ids[j].key_bytes);
+    if (c < 0) {
+      removed.PutString(base.ids[i++].key_bytes);
+      continue;
+    }
+    if (c == 0 && base.ids[i].epoch == page.ids[j].epoch) {
+      ++i;
+      ++j;
+      continue;
+    }
+    if (c == 0) ++i;  // overwritten
+    page.ids[j].EncodeTo(&upserts);
+    page.hashes[j].EncodeTo(&upserts);
+    ++j;
+  }
+  w->PutU8(static_cast<uint8_t>(Kind::kDelta));
+  page.desc.EncodeTo(w);
+  w->PutVarint64(base.desc.id.epoch);
+  w->PutString(removed.data());
+  w->PutString(upserts.data());
+  w->PutU32(crc);
+}
+
+Status PageWrite::DecodeFrom(Reader* r, PageWrite* out) {
+  uint8_t kind;
+  ORC_RETURN_IF_ERROR(r->GetU8(&kind));
+  if (kind == static_cast<uint8_t>(Kind::kFull)) {
+    out->kind = Kind::kFull;
+    return r->GetStringView(&out->page_bytes);
+  }
+  if (kind != static_cast<uint8_t>(Kind::kDelta)) {
+    return Status::Corruption("page write: unknown entry kind");
+  }
+  out->kind = Kind::kDelta;
+  ORC_RETURN_IF_ERROR(PageDescriptor::DecodeFrom(r, &out->desc));
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&out->base_epoch));
+  ORC_RETURN_IF_ERROR(r->GetStringView(&out->removed));
+  ORC_RETURN_IF_ERROR(r->GetStringView(&out->upserts));
+  return r->GetU32(&out->crc);
+}
+
+Status MergePageDelta(std::string_view base_bytes, const PageWrite& delta,
+                      std::string* out, uint64_t* entries) {
+  Reader base(base_bytes);
+  PageDescriptor base_desc;
+  uint64_t base_left;
+  ORC_RETURN_IF_ERROR(PageDescriptor::DecodeFrom(&base, &base_desc));
+  ORC_RETURN_IF_ERROR(base.GetVarint64(&base_left));
+  Reader removed(delta.removed), upserts(delta.upserts);
+
+  // Entries are copied as raw byte spans: nothing is decoded into a Page.
+  EntryView b, u;
+  std::string_view gone;
+  bool have_b = false, have_u = false, have_gone = false;
+  auto next_b = [&]() -> Status {
+    have_b = base_left > 0;
+    if (!have_b) return Status::OK();
+    --base_left;
+    return NextEntry(&base, &b);
+  };
+  auto next_u = [&]() -> Status {
+    have_u = !upserts.AtEnd();
+    return have_u ? NextEntry(&upserts, &u) : Status::OK();
+  };
+  auto next_gone = [&]() -> Status {
+    have_gone = !removed.AtEnd();
+    return have_gone ? removed.GetStringView(&gone) : Status::OK();
+  };
+  ORC_RETURN_IF_ERROR(next_b());
+  ORC_RETURN_IF_ERROR(next_u());
+  ORC_RETURN_IF_ERROR(next_gone());
+
+  Writer body(base.remaining() + delta.upserts.size());
+  uint64_t n = 0;
+  while (have_b || have_u) {
+    int c = !have_b   ? 1
+            : !have_u ? -1
+                      : ComparePageOrder(b.hash, b.key, u.hash, u.key);
+    if (c >= 0) {  // insert, or overwrite of the base entry
+      body.PutRaw(u.raw.data(), u.raw.size());
+      ++n;
+      ORC_RETURN_IF_ERROR(next_u());
+      if (c == 0) ORC_RETURN_IF_ERROR(next_b());
+      continue;
+    }
+    if (have_gone && gone == b.key) {
+      ORC_RETURN_IF_ERROR(next_gone());
+    } else {
+      body.PutRaw(b.raw.data(), b.raw.size());
+      ++n;
+    }
+    ORC_RETURN_IF_ERROR(next_b());
+  }
+  if (have_gone || !base.AtEnd()) {
+    return Status::Corruption("page delta does not apply to its base");
+  }
+
+  Writer head;
+  delta.desc.EncodeTo(&head);
+  head.PutVarint64(n);
+  out->clear();
+  out->reserve(head.size() + body.size());
+  out->append(head.data());
+  out->append(body.data());
+  if (PageCrc(*out) != delta.crc) {
+    return Status::Corruption("page delta: CRC mismatch");
+  }
+  *entries = n;
   return Status::OK();
 }
 

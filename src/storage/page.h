@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -120,6 +121,43 @@ struct Page {
   void EncodeTo(Writer* w) const;
   static Status DecodeFrom(Reader* r, Page* out);
 };
+
+/// CRC-32 (zlib polynomial) of a page's full encoding (Page::EncodeTo): the
+/// end-to-end check a delta-written page version is rebuilt under.
+uint32_t PageCrc(std::string_view encoded_page);
+
+/// One entry of a kPutPage frame (docs/WIRE_FORMATS.md). A page version
+/// travels whole, or as a delta against the base version the publisher
+/// built it from (same relation and partition, older epoch): the base
+/// entries it drops (`removed`: key bytes only), then the entries it adds or
+/// overwrites (`upserts`: encoded exactly as in a page), both in page order,
+/// then the CRC-32 of the new version's full encoding.
+struct PageWrite {
+  enum class Kind : uint8_t { kFull = 0, kDelta = 1 };
+  Kind kind = Kind::kFull;
+  std::string_view page_bytes;  // kFull: the encoded page
+  PageDescriptor desc;          // kDelta: the new version's descriptor
+  Epoch base_epoch = 0;         // kDelta
+  std::string_view removed;     // kDelta: packed `string key` list
+  std::string_view upserts;     // kDelta: packed page entries
+  uint32_t crc = 0;             // kDelta
+
+  /// Appends a full entry for an already-encoded page.
+  static void EncodeFull(std::string_view encoded_page, Writer* w);
+  /// Appends a delta entry turning `base` into `page` (same relation and
+  /// partition); `crc` is PageCrc of `page`'s full encoding.
+  static void EncodeDelta(const Page& base, const Page& page, uint32_t crc,
+                          Writer* w);
+  /// Decodes one entry; the views alias the frame.
+  static Status DecodeFrom(Reader* r, PageWrite* out);
+};
+
+/// Rebuilds a delta entry's page version from the stored encoding of its
+/// base by a byte-level merge of the encoded entries, producing exactly the
+/// bytes Page::EncodeTo would. Corruption when the delta does not apply to
+/// `base_bytes` or the result fails the CRC; `*entries` is the entry count.
+Status MergePageDelta(std::string_view base_bytes, const PageWrite& delta,
+                      std::string* out, uint64_t* entries);
 
 /// Value of an epoch-claim record ('E' keys, see keys::EpochClaim): which
 /// participant owns the epoch, from which node and claim attempt (`nonce` —

@@ -98,7 +98,11 @@ struct Publisher::PubState {
                                // no other writer can take the epoch and leave
                                // our partial writes as shadowing orphans
   int claim_stall_left = 6;    // AwaitWinner probes before failing the batch
-  int rebase_left = 4;         // contention re-bases allowed for this publish
+  int rebase_left = 8;         // contention re-bases allowed for this publish;
+                               // every re-base follows another writer's
+                               // commit, so this bounds one ticket's wait,
+                               // not liveness: K simultaneous writers need
+                               // K - 1 re-bases for the last one to commit
   int fence_skip_left = 64;    // burned epochs this publish may step past —
                                // separate from rebase_left because a skip
                                // keeps the base and prepared records intact
@@ -403,6 +407,15 @@ void Publisher::FetchPages(Handle st) {
     }
     return nullptr;
   };
+  // Pages this publisher committed itself are reused the same way, but only
+  // on an exact PageId match: any other version must come from the network.
+  auto page_committed = [this](const PubState::PartitionWork& pw) -> const Page* {
+    auto it = committed_pages_.find({pw.relation, pw.partition});
+    if (it == committed_pages_.end() || !(it->second.desc.id == pw.old_desc.id)) {
+      return nullptr;
+    }
+    return &it->second;
+  };
   st->outstanding = 1;  // guard against zero fetches
   for (size_t i = 0; i < st->parts.size(); ++i) {
     PubState::PartitionWork& pw = st->parts[i];
@@ -411,6 +424,12 @@ void Publisher::FetchPages(Handle st) {
       pw.old_page = *cached;
       continue;
     }
+    if (const Page* own = page_committed(pw)) {
+      pipeline_stats_.page_reuses += 1;
+      pw.old_page = *own;
+      continue;
+    }
+    pipeline_stats_.page_fetches += 1;
     st->outstanding += 1;
     service_->GetPage(pw.old_desc, [this, st, i](Status s, Page page) {
       if (!s.ok() && st->first_error.ok()) st->first_error = s;
@@ -1197,20 +1216,71 @@ void Publisher::IssueWrites(Handle st) {
                    });
   }
 
-  // 3b: new page versions to their index nodes.
-  for (const Page& page : st->new_pages) {
+  // 3b: page versions, coalesced into ONE kPutPage frame per index node.
+  // Each page is encoded whole once; a page built on a base version rides
+  // as a delta against it when that is smaller (the index node, which
+  // stores the base, rebuilds the exact full encoding and checks its CRC).
+  // Pages a node refuses as deltas — it lacks the base — go again whole.
+  auto full = std::make_shared<std::vector<std::string>>(st->new_pages.size());
+  std::vector<std::string> entry(st->new_pages.size());
+  std::map<net::NodeId, std::vector<size_t>> per_node_pages;
+  for (size_t i = 0; i < st->new_pages.size(); ++i) {
+    const Page& page = st->new_pages[i];
+    Writer fw;
+    page.EncodeTo(&fw);
+    (*full)[i] = fw.Release();
+    Writer ew;
+    const PubState::PartitionWork& pw = st->parts[i];
+    if (pw.has_old_desc) {
+      PageWrite::EncodeDelta(pw.old_page, page, PageCrc((*full)[i]), &ew);
+    }
+    if (!pw.has_old_desc || ew.size() >= (*full)[i].size()) {
+      ew.Clear();
+      PageWrite::EncodeFull((*full)[i], &ew);
+    }
+    entry[i] = ew.Release();
     const RelationDef* def = service_->FindRelation(page.desc.id.relation);
-    Writer w;
-    page.EncodeTo(&w);
     std::vector<net::NodeId> targets =
         def->replicate_everywhere
             ? everyone
             : snap.ReplicasOf(page.desc.home(), service_->replication());
+    for (net::NodeId t : targets) per_node_pages[t].push_back(i);
+  }
+  for (auto& [target, pages] : per_node_pages) {
+    Writer frame;
+    frame.PutVarint64(pages.size());
+    for (size_t i : pages) frame.PutRaw(entry[i].data(), entry[i].size());
     st->outstanding += 1;
-    service_->CallAll(targets, kPutPage, w.data(), [track, dec](Status s) {
-      track(s);
-      dec();
-    });
+    service_->Call(
+        target, kPutPage, frame.Release(),
+        [this, target = target, pages = std::move(pages), full, track, dec](
+            Status s, const std::string& reply) {
+          Reader r(reply);
+          uint64_t n = 0;
+          if (s.ok() && !r.GetVarint64(&n).ok()) {
+            s = Status::Corruption("bad page frame reply");
+          }
+          Writer resend;
+          resend.PutVarint64(n);
+          for (uint64_t k = 0; s.ok() && k < n; ++k) {
+            uint64_t idx;
+            if (!r.GetVarint64(&idx).ok() || idx >= pages.size()) {
+              s = Status::Corruption("bad page frame reply");
+              break;
+            }
+            PageWrite::EncodeFull((*full)[pages[idx]], &resend);
+          }
+          if (!s.ok() || n == 0) {
+            track(s);
+            dec();
+            return;
+          }
+          service_->Call(target, kPutPage, resend.Release(),
+                         [track, dec](Status s2, const std::string&) {
+                           track(s2);
+                           dec();
+                         });
+        });
   }
 
   dec();
@@ -1332,6 +1402,10 @@ void Publisher::Finish(Handle st, Status status) {
     written_epochs_.erase(written_epochs_.begin(),
                           written_epochs_.upper_bound(st->new_epoch));
     gossip_->AdvanceTo(st->new_epoch);
+    for (Page& page : st->new_pages) {
+      Page& kept = committed_pages_[{page.desc.id.relation, page.desc.id.partition}];
+      if (kept.desc.id.epoch <= page.desc.id.epoch) kept = std::move(page);
+    }
     // Coordinator role: advertise this PARTICIPANT's GC low-watermark. The
     // storage nodes retire below the min across active participants, so a
     // mark of 0 (committed epoch still inside the keep window) registers the

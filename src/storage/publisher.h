@@ -169,6 +169,10 @@ class Publisher {
     // Abandonment-fencing accounting.
     uint64_t fences = 0;           // fence rounds this publisher won
     uint64_t fenced_skips = 0;     // burned epochs skipped past
+    // Base pages: fetched from an index node, or reused from this
+    // publisher's own newest committed version of the partition.
+    uint64_t page_fetches = 0;
+    uint64_t page_reuses = 0;
   };
   const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
 
@@ -201,8 +205,10 @@ class Publisher {
   /// writes on the predecessor's commit.
   void Apply(Handle st);
   /// Publishes the prepared writes: tuple versions coalesced into one
-  /// multi-relation kPutTuples frame per destination node, page versions to
-  /// their index nodes. Runs only once the predecessor (if any) committed.
+  /// multi-relation kPutTuples frame per destination node, page versions
+  /// into one kPutPage frame per index node (each page whole, or as a delta
+  /// against its base when that is smaller; pages a node refuses as deltas
+  /// go again whole). Runs only once the predecessor (if any) committed.
   void IssueWrites(Handle st);
   /// Computes the new-epoch coordinator record of every relation from the
   /// base records plus the touched partitions; stored on the handle for both
@@ -309,6 +315,11 @@ class Publisher {
   /// over the partial writes. Entries at or below a committed epoch are
   /// dropped (the frontier passed them; they can never be claimed again).
   std::set<Epoch> written_epochs_;
+  /// The newest page version this publisher COMMITTED per (relation,
+  /// partition). Page versions are immutable, so a base descriptor naming
+  /// exactly one of these PageIds needs no fetch. Bounded by the partitions
+  /// this publisher touches.
+  std::map<std::pair<std::string, uint32_t>, Page> committed_pages_;
   PipelineStats pipeline_stats_;
 };
 

@@ -368,40 +368,11 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       Respond(from, req_id, Status::OK(), {});
       return;
     }
-    case kPutPage: {
-      // The body after the request id IS the stored record: validate with a
-      // full decode, then store the raw wire bytes — no re-encode.
-      std::string_view page_bytes = r->RemainingView();
-      Page page;
-      if (!Page::DecodeFrom(r, &page).ok() || !r->AtEnd()) {
-        Respond(from, req_id, Status::Corruption("bad page"), {});
-        return;
-      }
-      const PageId& id = page.desc.id;
-      if (!fenced_epochs_.empty() && fenced_epochs_.count(id.epoch) > 0) {
-        counters_.fenced_writes_refused += 1;
-        Respond(from, req_id,
-                Status::Fenced("page write at fenced epoch " +
-                               std::to_string(id.epoch)),
-                {});
-        return;
-      }
-      store_.Put(keys::PageRec(id.relation, id.epoch, id.partition), page_bytes)
-          .ok();
-      counters_.pages_stored += 1;
-      ChargeCpu(costs.index_entry_us * static_cast<double>(page.ids.size()));
-      // Inverse node bookkeeping: latest page for this partition (§IV).
-      auto cur = ReadInverseLocal(id.relation, id.partition);
-      if (!cur.ok() || cur.value().epoch <= id.epoch) {
-        Writer iw;
-        id.EncodeTo(&iw);
-        store_.Put(keys::Inverse(id.relation, id.partition), iw.data()).ok();
-      }
-      Respond(from, req_id, Status::OK(), {});
+    case kPutPage:
+      HandlePutPage(from, r, req_id);
       return;
-    }
     case kPutCoordinator: {
-      // As with kPutPage: validate with a full decode, store the wire bytes.
+      // Validate with a full decode, then store the wire bytes verbatim.
       std::string_view rec_bytes = r->RemainingView();
       CoordinatorRecord rec;
       if (!CoordinatorRecord::DecodeFrom(r, &rec).ok() || !r->AtEnd()) {
@@ -740,6 +711,112 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
     default:
       Respond(from, req_id, Status::NotSupported("unknown storage code"), {});
   }
+}
+
+void StorageService::HandlePutPage(net::NodeId from, Reader* r,
+                                   uint64_t req_id) {
+  uint64_t n;
+  if (!r->GetVarint64(&n).ok()) {
+    Respond(from, req_id, Status::Corruption("bad page frame"), {});
+    return;
+  }
+  Writer refused;  // frame indices of refused deltas
+  uint64_t n_refused = 0, fenced = 0;
+  Epoch fenced_epoch = 0;
+  std::string merged;
+  for (uint64_t i = 0; i < n; ++i) {
+    PageWrite pw;
+    Page page;
+    if (!PageWrite::DecodeFrom(r, &pw).ok()) {
+      Respond(from, req_id, Status::Corruption("bad page"), {});
+      return;
+    }
+    if (pw.kind == PageWrite::Kind::kFull) {
+      // A whole page is validated with a full decode and stored verbatim.
+      Reader pr(pw.page_bytes);
+      if (!Page::DecodeFrom(&pr, &page).ok() || !pr.AtEnd()) {
+        Respond(from, req_id, Status::Corruption("bad page"), {});
+        return;
+      }
+      pw.desc = page.desc;
+    }
+    const PageId& id = pw.desc.id;
+    if (!fenced_epochs_.empty() && fenced_epochs_.count(id.epoch) > 0) {
+      ++fenced;
+      fenced_epoch = id.epoch;
+      continue;
+    }
+    if (pw.kind == PageWrite::Kind::kFull) {
+      StorePage(id, pw.page_bytes, page.ids.size());
+      continue;
+    }
+    // A delta is rebuilt over the stored base version. No base here (fresh
+    // replica, restart, retired) or a mismatch is refused, not an error:
+    // the publisher resends that page whole.
+    auto base = store_.GetView(keys::PageRec(id.relation, pw.base_epoch, id.partition));
+    uint64_t entries = 0;
+    if (!base.ok() || !MergePageDelta(base.value(), pw, &merged, &entries).ok()) {
+      counters_.page_delta_fallbacks += 1;
+      refused.PutVarint64(i);
+      ++n_refused;
+      continue;
+    }
+    StorePage(id, merged, entries);
+  }
+  if (fenced > 0) {
+    counters_.fenced_writes_refused += fenced;
+    Respond(from, req_id,
+            Status::Fenced("page write at fenced epoch " +
+                           std::to_string(fenced_epoch)),
+            {});
+    return;
+  }
+  Writer body;
+  body.PutVarint64(n_refused);
+  body.PutRaw(refused.data().data(), refused.size());
+  Respond(from, req_id, Status::OK(), body.Release());
+}
+
+void StorageService::StorePage(const PageId& id, std::string_view page_bytes,
+                               uint64_t entries) {
+  std::string key = keys::PageRec(id.relation, id.epoch, id.partition);
+  store_.Put(key, page_bytes).ok();
+  counters_.pages_stored += 1;
+  ChargeCpu(host_->network()->costs().index_entry_us * static_cast<double>(entries));
+  // Inverse node bookkeeping: latest page for this partition (§IV).
+  auto cur = ReadInverseLocal(id.relation, id.partition);
+  if (!cur.ok() || cur.value().epoch <= id.epoch) {
+    Writer iw;
+    id.EncodeTo(&iw);
+    store_.Put(keys::Inverse(id.relation, id.partition), iw.data()).ok();
+  }
+  if (gc_watermark_ > 0 && id.epoch > gc_watermark_) RetirePageGroup(key);
+}
+
+void StorageService::RetirePageGroup(std::string_view page_key) {
+  // Retirement keeps pace with writes: each page write re-applies the rule
+  // to its own partition's versions at the current watermark, so a hot
+  // partition never accumulates versions between background sweeps. The
+  // group is read from the store itself, never from the inverse pointer (a
+  // torn or fenced version can move that pointer).
+  const Epoch w = gc_watermark_;
+  std::vector<std::string> doomed;
+  VersionCarry carry;
+  uint64_t n_pages = 0, n_tombs = 0, scanned = 0;
+  VersionRule rule{w, &fenced_epochs_, &carry, &doomed, &n_pages, &n_tombs};
+  for (auto it = store_.SeekPrefix(keys::VersionGroupPrefix(page_key));
+       it.Valid(); it.Next()) {
+    keys::ParsedPageKey pk;
+    if (!keys::ParsePageRec(it.key(), &pk)) continue;
+    if (pk.epoch > w) break;  // oldest-first: nothing further is at or below w
+    ++scanned;
+    rule.Add(it.key(), pk.epoch, /*tombstone=*/false);
+  }
+  rule.EndGroup();
+  for (const std::string& key : doomed) store_.Delete(key).ok();
+  ChargeCpu(host_->network()->costs().tuple_scan_us *
+            static_cast<double>(scanned + doomed.size()));
+  gc_.retired_pages += n_pages;
 }
 
 void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
@@ -1604,6 +1681,36 @@ void StorageService::SetParticipantWatermark(ParticipantId p, Epoch mark) {
   ScheduleGcSweep();
 }
 
+void StorageService::VersionRule::Add(std::string_view key, Epoch epoch,
+                                      bool tombstone) {
+  std::string_view group = keys::VersionGroupPrefix(key);
+  if (group != carry->group) {
+    EndGroup();
+    carry->group.assign(group);
+  }
+  if (epoch > watermark) return;
+  if (!fenced->empty() && fenced->count(epoch) > 0) {
+    doomed->emplace_back(key);
+    ++*retired;
+    return;
+  }
+  if (!carry->best_key.empty()) {
+    doomed->push_back(carry->best_key);
+    ++*(carry->best_is_tombstone ? tombstones : retired);
+  }
+  carry->best_key.assign(key);
+  carry->best_is_tombstone = tombstone;
+}
+
+void StorageService::VersionRule::EndGroup() {
+  if (carry->best_is_tombstone && !carry->best_key.empty()) {
+    doomed->push_back(carry->best_key);
+    ++*tombstones;
+  }
+  carry->best_key.clear();
+  carry->best_is_tombstone = false;
+}
+
 void StorageService::RetireBelowWatermark() {
   const Epoch w = gc_watermark_;
   std::vector<std::string> doomed;
@@ -1638,82 +1745,32 @@ void StorageService::RetireBelowWatermark() {
   }
 
   // Page and data records share the layout <group-prefix><epoch:8B BE> and
-  // sort by group then epoch, so one ordered pass sees each group's versions
-  // oldest-first. Within a group, every version at-or-below the watermark is
-  // superseded by the next one at-or-below it; the newest such version is
-  // what the kept coordinators still reference and survives. A data group's
-  // survivor that is a delete tombstone (empty value) is retired too — it
-  // exists only to kill older versions, which are gone once this pass runs.
-  //
-  // Correctness precondition: every version at-or-below the watermark was
-  // referenced by some committed coordinator when written. Torn publishes
-  // keep this locally checkable: coordinator records (the commit point) go
-  // out only after every tuple/page write succeeded, and a failed publish
-  // must be retried with the SAME batch (idempotent overwrite) before
-  // publishing different data — an abandoned batch's orphan versions would
-  // otherwise shadow the committed version the coordinators reference once
-  // the watermark passes them (see ROADMAP: orphan reconciliation).
-  auto sweep_versions = [&](char tag, uint64_t* retired,
-                            bool reap_trailing_tombstone, auto&& epoch_of) {
-    std::string group;          // current group prefix (key minus epoch)
-    std::string best_key;       // newest version <= w seen in this group
-    bool best_is_tombstone = false;
-    auto flush_group = [&] {
-      if (reap_trailing_tombstone && best_is_tombstone && !best_key.empty()) {
-        doomed.push_back(best_key);
-        ++n_tombs;
-      }
-      best_key.clear();
-      best_is_tombstone = false;
-    };
+  // sort by group then epoch, so one ordered pass per family feeds the
+  // version rule each group's versions oldest-first.
+  auto sweep_versions = [&](char tag, uint64_t* retired, auto&& epoch_of) {
+    VersionCarry carry;
+    VersionRule rule{w, &fenced_epochs_, &carry, &doomed, retired, &n_tombs};
     for (auto it = store_.SeekPrefix(std::string_view(&tag, 1)); it.Valid();
          it.Next()) {
       ++scanned;
-      std::string_view key = it.key();
       Epoch epoch = 0;
-      if (!epoch_of(key, &epoch)) continue;  // malformed: leave it alone
-      std::string_view prefix = keys::VersionGroupPrefix(key);
-      if (prefix != group) {
-        flush_group();
-        group.assign(prefix);
-      }
-      if (epoch > w) continue;
-      // A version at a fenced epoch is NEVER a survivor: it is purged
-      // garbage a stale push resurrected, and letting it win the
-      // newest-at-or-below race would shadow the committed version the
-      // coordinators reference. Doom it without updating the carry.
-      if (!fenced_epochs_.empty() && fenced_epochs_.count(epoch) > 0) {
-        doomed.emplace_back(key);
-        ++*retired;
-        continue;
-      }
-      if (!best_key.empty()) {
-        doomed.push_back(best_key);
-        if (best_is_tombstone) {
-          ++n_tombs;
-        } else {
-          ++*retired;
-        }
-      }
-      best_key.assign(key);
-      best_is_tombstone = reap_trailing_tombstone && it.value().empty();
+      if (!epoch_of(it.key(), &epoch)) continue;  // malformed: leave it alone
+      rule.Add(it.key(), epoch, tag == keys::kDataTag && it.value().empty());
     }
-    flush_group();
+    rule.EndGroup();
   };
-  sweep_versions(keys::kPageTag, &n_pages, /*reap_trailing_tombstone=*/false,
-                 [](std::string_view key, Epoch* e) {
-                   keys::ParsedPageKey pk;
-                   if (!keys::ParsePageRec(key, &pk)) return false;
-                   *e = pk.epoch;
-                   return true;
-                 });
-  sweep_versions(keys::kDataTag, &n_data, /*reap_trailing_tombstone=*/true,
-                 [](std::string_view key, Epoch* e) {
-                   keys::ParsedDataKey dk;
-                   if (!keys::ParseData(key, &dk)) return false;
-                   *e = dk.epoch;
-                   return true;
-                 });
+  sweep_versions(keys::kPageTag, &n_pages, [](std::string_view key, Epoch* e) {
+    keys::ParsedPageKey pk;
+    if (!keys::ParsePageRec(key, &pk)) return false;
+    *e = pk.epoch;
+    return true;
+  });
+  sweep_versions(keys::kDataTag, &n_data, [](std::string_view key, Epoch* e) {
+    keys::ParsedDataKey dk;
+    if (!keys::ParseData(key, &dk)) return false;
+    *e = dk.epoch;
+    return true;
+  });
 
   for (const std::string& key : doomed) store_.Delete(key).ok();
 
@@ -1747,9 +1804,7 @@ void StorageService::ScheduleGcSweep() {
   gc_sweep_.watermark = gc_watermark_;
   gc_sweep_.phase = 0;
   gc_sweep_.resume = keys::TagPrefix(keys::kCoordTag);
-  gc_sweep_.group.clear();
-  gc_sweep_.best_key.clear();
-  gc_sweep_.best_is_tombstone = false;
+  gc_sweep_.carry = VersionCarry{};
   const uint64_t gen = gc_sweep_.generation;
   RunAfter(gc_options_.slice_interval_us, [this, gen] { GcSliceTask(gen); });
 }
@@ -1774,17 +1829,8 @@ bool StorageService::RunGcSlice(uint64_t budget) {
   uint64_t scanned = 0;
   uint64_t n_coords = 0, n_pages = 0, n_data = 0, n_tombs = 0, n_claims = 0;
 
-  // Reaps the tracked survivor if it is a trailing tombstone, then clears
-  // the version-group carry — the sliced twin of the synchronous sweep's
-  // flush_group (see RetireBelowWatermark for the retention argument).
-  auto flush_group = [&] {
-    if (gc_sweep_.best_is_tombstone && !gc_sweep_.best_key.empty()) {
-      doomed.push_back(gc_sweep_.best_key);
-      ++n_tombs;
-    }
-    gc_sweep_.best_key.clear();
-    gc_sweep_.best_is_tombstone = false;
-  };
+  VersionRule rule{w, &fenced_epochs_, &gc_sweep_.carry, &doomed, nullptr,
+                   &n_tombs};
 
   while (gc_sweep_.phase < 4 && scanned < budget) {
     const int phase = gc_sweep_.phase;
@@ -1833,39 +1879,18 @@ bool StorageService::RunGcSlice(uint64_t budget) {
             if (parsed) epoch = dk.epoch;
           }
           if (!parsed) break;  // malformed: leave it alone
-          std::string_view group = keys::VersionGroupPrefix(key);
-          if (group != gc_sweep_.group) {
-            flush_group();
-            gc_sweep_.group.assign(group);
-          }
-          if (epoch > w) break;
-          // Fenced-epoch versions are never survivors (see the synchronous
-          // sweep's twin of this check for the shadowing argument).
-          if (!fenced_epochs_.empty() && fenced_epochs_.count(epoch) > 0) {
-            doomed.emplace_back(key);
-            ++(phase == 2 ? n_pages : n_data);
-            break;
-          }
-          if (!gc_sweep_.best_key.empty()) {
-            doomed.push_back(gc_sweep_.best_key);
-            if (gc_sweep_.best_is_tombstone) {
-              ++n_tombs;
-            } else {
-              ++(phase == 2 ? n_pages : n_data);
-            }
-          }
-          gc_sweep_.best_key.assign(key);
+          rule.retired = phase == 2 ? &n_pages : &n_data;
           // Only data-family tombstones (empty value) are reaped once
           // trailing; pages have no tombstone notion.
-          gc_sweep_.best_is_tombstone = phase == 3 && it.value().empty();
+          rule.Add(key, epoch, phase == 3 && it.value().empty());
           break;
         }
       }
     }
     if (!exhausted) break;
-    if (phase >= 2) flush_group();
+    if (phase >= 2) rule.EndGroup();
     gc_sweep_.phase += 1;
-    gc_sweep_.group.clear();
+    gc_sweep_.carry.group.clear();
     if (gc_sweep_.phase < 4) {
       gc_sweep_.resume = keys::TagPrefix(kPhaseTags[gc_sweep_.phase]);
     }

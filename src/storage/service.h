@@ -46,6 +46,12 @@ enum StorageCode : uint16_t {
   // publisher batches every tuple write bound for a node — across all
   // relations and partitions — into a single kPutTuples RPC.
   kPutTuples = 2,
+  // One page-write frame per destination node and publish: n, then n
+  // PageWrite entries (page.h), each a whole page or a delta against its
+  // base version. The reply body lists the frame indices of deltas the node
+  // refused (base missing, delta mismatch, CRC) — the publisher resends
+  // exactly those as full pages. An entry at a fenced epoch is not stored
+  // and makes the reply kFenced (as for kPutTuples).
   kPutPage = 3,
   kPutCoordinator = 4,
   kGetCoordinator = 5,
@@ -338,6 +344,9 @@ class StorageService : public net::Service {
     uint64_t fences_refused = 0;
     uint64_t fenced_writes_refused = 0;
     uint64_t purged_orphans = 0;
+    // Delta page writes this index node refused (base version missing, or
+    // the rebuilt page failed its CRC); each costs one full-page resend.
+    uint64_t page_delta_fallbacks = 0;
   };
   const Counters& counters() const { return counters_; }
 
@@ -360,7 +369,57 @@ class StorageService : public net::Service {
     sim::Simulator::EventId deadline_event = 0;
   };
 
+  // A burned epoch's fenced instance (see fenced_epochs_).
+  struct FencedInstance {
+    ParticipantId participant = 0;
+    uint64_t nonce = 0;
+  };
+
+  // The one version-retention rule. Every retirement path — the synchronous
+  // sweep, the background slices, and write-time page retirement — feeds it
+  // one family's keys in store order, so each version group (the versions
+  // of one page partition or tuple key, keys::VersionGroupPrefix) arrives
+  // oldest-first. Within a group every version at or below the watermark
+  // that a newer non-fenced version at or below it supersedes is doomed, as
+  // is every version at a fenced epoch (purged garbage a stale push
+  // resurrected: as a survivor it would shadow the committed version). The
+  // survivor is what the kept coordinators reference; a data survivor that
+  // is a delete tombstone is reaped when its group ends, since it only
+  // existed to kill older versions.
+  //
+  // Correctness precondition: every version at or below the watermark was
+  // referenced by some committed coordinator when written. Torn publishes
+  // keep this locally checkable: coordinator records (the commit point) go
+  // out only after every tuple/page write succeeded, and a failed publish
+  // is retried with the SAME batch (idempotent overwrite) before publishing
+  // different data.
+  struct VersionCarry {  // per-group state; persists across sweep slices
+    std::string group;
+    std::string best_key;  // newest non-fenced version <= watermark so far
+    bool best_is_tombstone = false;
+  };
+  struct VersionRule {
+    Epoch watermark;
+    const std::map<Epoch, FencedInstance>* fenced;
+    VersionCarry* carry;
+    std::vector<std::string>* doomed;
+    uint64_t* retired;     // superseded versions (pages or tuples)
+    uint64_t* tombstones;  // reaped trailing delete tombstones
+    void Add(std::string_view key, Epoch epoch, bool tombstone);
+    void EndGroup();
+  };
+
   void Respond(net::NodeId to, uint64_t req_id, Status st, std::string body);
+  /// kPutPage: stores every entry of a page-write frame.
+  void HandlePutPage(net::NodeId from, Reader* r, uint64_t req_id);
+  /// Stores one page version (its full encoding), updates the inverse node,
+  /// and retires the page versions this write lets the watermark pass.
+  void StorePage(const PageId& id, std::string_view page_bytes, uint64_t entries);
+  /// Write-time retirement: applies the version rule to one page partition's
+  /// group. Runs only when the version just written sits above the
+  /// watermark, so the new version itself — which may yet turn out torn —
+  /// is never the survivor that retires its base.
+  void RetirePageGroup(std::string_view page_key);
   void RetireBelowWatermark();
   /// Background GC: starts a sliced sweep at the current watermark, or
   /// re-arms the one in flight (it finishes, then restarts at the latest
@@ -424,9 +483,7 @@ class StorageService : public net::Service {
     Epoch watermark = 0;
     int phase = 0;
     std::string resume;       // lower bound of the next slice's Seek
-    std::string group;        // version-group carry (phases 2 and 3)
-    std::string best_key;     // newest version <= watermark in `group`
-    bool best_is_tombstone = false;
+    VersionCarry carry;       // version-group carry (phases 2 and 3)
   };
   GcSweep gc_sweep_;
   // Admission control: latest load hint per peer (timestamped so stale
@@ -453,10 +510,6 @@ class StorageService : public net::Service {
   // refusals). Durable via the fenced claim record; rebuilt on restart and
   // re-taught by the replica-push piggyback. Never pruned — fences are rare
   // and a retained entry keeps a stale push from resurrecting orphans.
-  struct FencedInstance {
-    ParticipantId participant = 0;
-    uint64_t nonce = 0;
-  };
   std::map<Epoch, FencedInstance> fenced_epochs_;
 };
 

@@ -17,6 +17,7 @@
 
 #include "client/session.h"
 #include "common/pending.h"
+#include "common/strings.h"
 #include "deploy/deployment.h"
 #include "storage/publisher.h"
 
@@ -206,8 +207,8 @@ TEST_F(SessionTest, PipelinedWindowCommitsInOrderAndChains) {
   std::map<std::string, std::string> model;
   std::vector<Ticket> tickets;
   for (int i = 0; i < 6; ++i) {
-    std::string k = "k" + std::to_string(i % 4);
-    std::string v = "v" + std::to_string(i);
+    std::string k = StrCat({"k", std::to_string(i % 4)});
+    std::string v = StrCat({"v", std::to_string(i)});
     model[k] = v;
     tickets.push_back(s.Submit(OneRow("R", k, v)));
   }
@@ -249,8 +250,8 @@ TEST(SessionPipeline, OverlapBeatsSequentialSimTime) {
     sim::SimTime start = dep.sim().now();
     std::vector<Ticket> tickets;
     for (int i = 0; i < 12; ++i) {
-      tickets.push_back(s.Submit(OneRow("R", "k" + std::to_string(i % 5),
-                                        "v" + std::to_string(i))));
+      tickets.push_back(s.Submit(OneRow("R", StrCat({"k", std::to_string(i % 5)}),
+                                        StrCat({"v", std::to_string(i)}))));
     }
     EXPECT_TRUE(dep.RunUntil([&tickets] {
       for (const Ticket& t : tickets) {
@@ -284,7 +285,7 @@ TEST_F(SessionTest, TupleWritesCoalescePerNode) {
   uint64_t before = frames_now();
   UpdateBatch b;
   for (int i = 0; i < 16; ++i) {
-    std::string k = "k" + std::to_string(i);
+    std::string k = StrCat({"k", std::to_string(i)});
     b["R"].push_back(Update::Insert(Row(k, "r")));
     b["S"].push_back(Update::Insert(Row(k, "s")));
   }
@@ -363,7 +364,7 @@ TEST_F(SessionTest, TicketsResolveWhenSessionNodeDies) {
   Session& s = dep->session(1);
   std::vector<Ticket> tickets;
   for (int i = 0; i < 3; ++i) {
-    tickets.push_back(s.Submit(OneRow("R", "k" + std::to_string(i), "v")));
+    tickets.push_back(s.Submit(OneRow("R", StrCat({"k", std::to_string(i)}), "v")));
   }
   dep->KillNode(1);  // the session's own node
   // No driving needed: the kill path fails the tickets synchronously — a
@@ -391,7 +392,7 @@ TEST_F(SessionTest, BackpressureShrinksWindowWithoutLosingPublishes) {
   std::map<std::string, std::string> model;
   std::vector<Ticket> tickets;
   for (int i = 0; i < 8; ++i) {
-    std::string k = "k" + std::to_string(i);
+    std::string k = StrCat({"k", std::to_string(i)});
     model[k] = "v";
     tickets.push_back(s.Submit(OneRow("R", k, "v")));
   }
@@ -516,8 +517,8 @@ TEST_F(SessionTest, NoTornOrShadowedVersionsAcrossFullHistory) {
     std::vector<std::pair<std::string, std::string>> rows;
     for (size_t w = 0; w < kWriters; ++w) {
       // Disjoint per-writer key stripes, fresh value per round.
-      std::string k = "w" + std::to_string(w) + "k" + std::to_string(round % 2);
-      std::string v = "r" + std::to_string(round);
+      std::string k = StrCat({"w", std::to_string(w)}) + StrCat({"k", std::to_string(round % 2)});
+      std::string v = StrCat({"r", std::to_string(round)});
       rows.emplace_back(k, v);
       tickets.push_back(dep->session(w).Submit(OneRow("R", k, v)));
     }

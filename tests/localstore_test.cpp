@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "localstore/local_store.h"
 
 namespace orchestra::localstore {
@@ -114,13 +115,13 @@ TEST(LocalStore, CompactionPreservesContentAndReclaimsLog) {
   // Overwrite the same small key set many times -> lots of garbage.
   for (int round = 0; round < 50; ++round) {
     for (int k = 0; k < 20; ++k) {
-      store.Put("k" + std::to_string(k), "round-" + std::to_string(round)).ok();
+      store.Put(StrCat({"k", std::to_string(k)}), StrCat({"round-", std::to_string(round)})).ok();
     }
   }
   EXPECT_GT(store.stats().compactions, 0u);
   EXPECT_EQ(store.entry_count(), 20u);
   for (int k = 0; k < 20; ++k) {
-    EXPECT_EQ(*store.Get("k" + std::to_string(k)), "round-49");
+    EXPECT_EQ(*store.Get(StrCat({"k", std::to_string(k)})), "round-49");
   }
   // After compaction, recovery still works.
   ASSERT_TRUE(store.Recover().ok());
@@ -284,7 +285,7 @@ TEST_P(LocalStoreFuzz, MatchesStdMapModel) {
   std::map<std::string, std::string> model;
   Rng rng(GetParam());
   for (int op = 0; op < 5000; ++op) {
-    std::string k = "k" + std::to_string(rng.Uniform(200));
+    std::string k = StrCat({"k", std::to_string(rng.Uniform(200))});
     switch (rng.Uniform(3)) {
       case 0:
       case 1: {
@@ -345,7 +346,7 @@ TEST(LocalStore, SeekPrefixSurvivesCompactRecoverCycle) {
     for (int i = 0; i < 50; ++i) {
       if (i % 3 == 0) continue;
       want.emplace_back(key("B/", i),
-                        (i % 2 == 0 ? "B" : "b") + std::to_string(i));
+                        StrCat({i % 2 == 0 ? "B" : "b", std::to_string(i)}));
     }
     size_t n = 0;
     for (auto it = store.SeekPrefix("B/"); it.Valid(); it.Next(), ++n) {

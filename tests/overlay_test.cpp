@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "common/serial.h"
+#include "common/strings.h"
 #include "deploy/deployment.h"
 #include "overlay/gossip.h"
 #include "overlay/ring.h"
@@ -43,7 +44,7 @@ TEST(RoutingSnapshot, PastryAssignsNearestNode) {
   auto snap = RoutingSnapshot::Build(1, AllocationScheme::kPastry, members);
   Rng rng(99);
   for (int trial = 0; trial < 200; ++trial) {
-    HashId key = HashId::OfBytes("k" + std::to_string(rng.NextU64()));
+    HashId key = HashId::OfBytes(StrCat({"k", std::to_string(rng.NextU64())}));
     net::NodeId owner = snap.OwnerOf(key);
     // The owner must minimize ring distance (in either direction).
     auto dist = [&](const Member& m) {
@@ -158,7 +159,7 @@ TEST(RoutingSnapshot, ReassignFailedCoversWholeRing) {
   EXPECT_EQ(recovered.node_count(), 6u);
   Rng rng(4);
   for (int trial = 0; trial < 200; ++trial) {
-    HashId key = HashId::OfBytes("f" + std::to_string(rng.NextU64()));
+    HashId key = HashId::OfBytes(StrCat({"f", std::to_string(rng.NextU64())}));
     net::NodeId owner = recovered.OwnerOf(key);
     EXPECT_NE(owner, 2u);
     EXPECT_NE(owner, 5u);
@@ -170,7 +171,7 @@ TEST(RoutingSnapshot, ReassignFailedPreservesLiveRanges) {
   auto recovered = snap.ReassignFailed({3}, 3, 2);
   Rng rng(11);
   for (int trial = 0; trial < 300; ++trial) {
-    HashId key = HashId::OfBytes("g" + std::to_string(rng.NextU64()));
+    HashId key = HashId::OfBytes(StrCat({"g", std::to_string(rng.NextU64())}));
     net::NodeId before = snap.OwnerOf(key);
     net::NodeId after = recovered.OwnerOf(key);
     if (before != 3) {
@@ -190,7 +191,7 @@ TEST(RoutingSnapshot, ReassignSplitsAmongMultipleHeirs) {
   std::set<net::NodeId> heirs;
   Rng rng(12);
   for (int trial = 0; trial < 400; ++trial) {
-    HashId key = HashId::OfBytes("h" + std::to_string(rng.NextU64()));
+    HashId key = HashId::OfBytes(StrCat({"h", std::to_string(rng.NextU64())}));
     if (snap.OwnerOf(key) == 3) heirs.insert(recovered.OwnerOf(key));
   }
   // r=3 gives one clockwise and one counterclockwise heir; the failed range

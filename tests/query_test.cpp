@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "deploy/deployment.h"
 #include "query/expr.h"
 #include "query/plan.h"
@@ -230,7 +231,7 @@ TEST_F(QueryClusterTest, CopyQueryReturnsAllRows) {
   Deploy(4);
   std::vector<Tuple> rows;
   for (int i = 0; i < 200; ++i) {
-    rows.push_back({S("k" + std::to_string(i)), S("v" + std::to_string(i % 7))});
+    rows.push_back({S(StrCat({"k", std::to_string(i)})), S(StrCat({"v", std::to_string(i % 7)}))});
   }
   LoadRows("R", rows);
 
@@ -248,7 +249,7 @@ TEST_F(QueryClusterTest, SelectPushesPredicate) {
   Deploy(4);
   std::vector<Tuple> rows;
   for (int i = 0; i < 100; ++i) {
-    rows.push_back({S("k" + std::to_string(i)), S(i % 2 ? "odd" : "even")});
+    rows.push_back({S(StrCat({"k", std::to_string(i)})), S(i % 2 ? "odd" : "even")});
   }
   LoadRows("R", rows);
 
@@ -353,11 +354,11 @@ TEST_F(QueryClusterTest, JoinMatchesReferenceOnRandomData) {
   std::vector<Tuple> r_rows, s_rows;
   for (int i = 0; i < 300; ++i) {
     r_rows.push_back({S("rk" + std::to_string(i)),
-                      S("j" + std::to_string(rng.Uniform(40)))});
+                      S(StrCat({"j", std::to_string(rng.Uniform(40))}))});
   }
   for (int i = 0; i < 150; ++i) {
-    s_rows.push_back({S("j" + std::to_string(rng.Uniform(40))),
-                      S("z" + std::to_string(i))});
+    s_rows.push_back({S(StrCat({"j", std::to_string(rng.Uniform(40))})),
+                      S(StrCat({"z", std::to_string(i)}))});
   }
   // S's key is column 0 (the join attribute); keys must be unique.
   std::map<std::string, Tuple> uniq;
@@ -389,9 +390,9 @@ TEST_F(QueryClusterTest, DoubleRehashJoinBothSides) {
   std::vector<Tuple> r_rows, s_rows;
   for (int i = 0; i < 200; ++i) {
     r_rows.push_back({S("rk" + std::to_string(i)),
-                      S("v" + std::to_string(rng.Uniform(25)))});
+                      S(StrCat({"v", std::to_string(rng.Uniform(25))}))});
     s_rows.push_back({S("sk" + std::to_string(i)),
-                      S("v" + std::to_string(rng.Uniform(25)))});
+                      S(StrCat({"v", std::to_string(rng.Uniform(25))}))});
   }
   LoadRows("R", r_rows);
   LoadRows("S", s_rows);
@@ -417,8 +418,8 @@ TEST_F(QueryClusterTest, DistributedAggregationWithReaggregation) {
   std::vector<Tuple> rows;
   std::map<std::string, int64_t> expect_counts;
   for (int i = 0; i < 500; ++i) {
-    std::string g = "g" + std::to_string(rng.Uniform(7));
-    rows.push_back({S("k" + std::to_string(i)), S(g)});
+    std::string g = StrCat({"g", std::to_string(rng.Uniform(7))});
+    rows.push_back({S(StrCat({"k", std::to_string(i)})), S(g)});
     expect_counts[g] += 1;
   }
   LoadRows("R", rows);
@@ -596,8 +597,8 @@ TEST_F(RecoveryTest, AggregationSurvivesFailureWithoutDoubleCounting) {
   std::vector<Tuple> rows;
   std::map<std::string, int64_t> expect_counts;
   for (int i = 0; i < 5000; ++i) {
-    std::string g = "g" + std::to_string(rng.Uniform(10));
-    rows.push_back({S("k" + std::to_string(i)), S(g)});
+    std::string g = StrCat({"g", std::to_string(rng.Uniform(10))});
+    rows.push_back({S(StrCat({"k", std::to_string(i)})), S(g)});
     expect_counts[g] += 1;
   }
   LoadRows("R", rows);

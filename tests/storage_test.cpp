@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "deploy/deployment.h"
 #include "storage/keys.h"
 #include "storage/page.h"
@@ -115,7 +116,7 @@ TEST(Page, PartitionGeometry) {
     // Random keys land in consistent partitions.
     Rng rng(parts);
     for (int i = 0; i < 50; ++i) {
-      HashId h = HashId::OfBytes("p" + std::to_string(rng.NextU64()));
+      HashId h = HashId::OfBytes(StrCat({"p", std::to_string(rng.NextU64())}));
       uint32_t idx = PartitionIndexFor(h, parts);
       EXPECT_TRUE(h.InRange(PartitionBegin(idx, parts), PartitionEnd(idx, parts)));
     }
@@ -316,7 +317,7 @@ TEST_F(StorageClusterTest, SurvivesSingleNodeFailure) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   UpdateBatch batch;
   for (int i = 0; i < 100; ++i) {
-    batch["R"].push_back(Update::Insert(Row("k" + std::to_string(i), "v")));
+    batch["R"].push_back(Update::Insert(Row(StrCat({"k", std::to_string(i)}), "v")));
   }
   ASSERT_TRUE(dep->Publish(0, std::move(batch)).ok());
 
@@ -358,7 +359,7 @@ TEST_F(StorageClusterTest, ReplicateEverywhereRelation) {
   ASSERT_TRUE(dep->CreateRelation(0, def).ok());
   UpdateBatch batch;
   for (int i = 0; i < 25; ++i) {
-    batch["Nation"].push_back(Update::Insert(Row("n" + std::to_string(i), "meta")));
+    batch["Nation"].push_back(Update::Insert(Row(StrCat({"n", std::to_string(i)}), "meta")));
   }
   ASSERT_TRUE(dep->Publish(0, std::move(batch)).ok());
   // Every node holds every tuple.
@@ -378,7 +379,7 @@ TEST_F(StorageClusterTest, NewNodeReceivesReplicasViaRebalance) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   UpdateBatch batch;
   for (int i = 0; i < 200; ++i) {
-    batch["R"].push_back(Update::Insert(Row("k" + std::to_string(i), "v")));
+    batch["R"].push_back(Update::Insert(Row(StrCat({"k", std::to_string(i)}), "v")));
   }
   ASSERT_TRUE(dep->Publish(0, std::move(batch)).ok());
 
@@ -473,7 +474,7 @@ TEST_F(StorageClusterTest, Sha1ComputedOncePerTuplePerPublish) {
   // publisher AND every kPutTuples/kPutPage receiver in the cluster.
   UpdateBatch first;
   for (int i = 0; i < 150; ++i) {
-    first["R"].push_back(Update::Insert(Row("k" + std::to_string(i), "v")));
+    first["R"].push_back(Update::Insert(Row(StrCat({"k", std::to_string(i)}), "v")));
   }
   uint64_t before = TupleKeyHashCount();
   ASSERT_TRUE(dep->Publish(0, std::move(first)).ok());
@@ -483,7 +484,7 @@ TEST_F(StorageClusterTest, Sha1ComputedOncePerTuplePerPublish) {
   // stored hashes, so the count is again exactly the update count.
   UpdateBatch second;
   for (int i = 0; i < 40; ++i) {
-    second["R"].push_back(Update::Insert(Row("k" + std::to_string(i), "w")));
+    second["R"].push_back(Update::Insert(Row(StrCat({"k", std::to_string(i)}), "w")));
   }
   before = TupleKeyHashCount();
   ASSERT_TRUE(dep->Publish(0, std::move(second)).ok());
@@ -639,7 +640,7 @@ TEST_F(StorageClusterTest, WatermarkRetiresPageAndCoordinatorRecords) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 2)).ok());
   for (int i = 0; i < 6; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("k" + std::to_string(i % 2), "v"))};
+    u["R"] = {Update::Insert(Row(StrCat({"k", std::to_string(i % 2)}), "v"))};
     ASSERT_TRUE(dep->Publish(0, std::move(u)).ok());
   }
   size_t coords_before = 0, pages_before = 0;
@@ -674,7 +675,7 @@ TEST_F(StorageClusterTest, PublisherAdvertisesWatermark) {
   Epoch last = 0;
   for (int i = 0; i < 8; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("hot", "v" + std::to_string(i)))};
+    u["R"] = {Update::Insert(Row("hot", StrCat({"v", std::to_string(i)})))};
     auto e = dep->Publish(0, std::move(u));
     ASSERT_TRUE(e.ok());
     last = *e;
@@ -711,7 +712,7 @@ TEST(StorageGc, ReplicaPushPiggybacksWatermark) {
   Epoch last = 0;
   for (int i = 0; i < 6; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("k" + std::to_string(i % 2), "v" + std::to_string(i)))};
+    u["R"] = {Update::Insert(Row(StrCat({"k", std::to_string(i % 2)}), StrCat({"v", std::to_string(i)})))};
     auto e = dep.Publish(0, std::move(u));
     ASSERT_TRUE(e.ok());
     last = *e;
@@ -903,7 +904,7 @@ TEST_F(StorageClusterTest, RelationCreatedMidStreamStaysPublishable) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   for (int i = 0; i < 4; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("k" + std::to_string(i), "v"))};
+    u["R"] = {Update::Insert(Row(StrCat({"k", std::to_string(i)}), "v"))};
     ASSERT_TRUE(dep->Publish(0, std::move(u)).ok());
   }
   // S's first record lands at the CURRENT epoch (4); the next publish's base
@@ -984,6 +985,16 @@ std::string ConfirmBody(Epoch e, uint32_t participant, uint32_t node,
   w.PutVarint32(node);
   w.PutVarint64(nonce);
   return w.Release();
+}
+
+// A one-page kPutPage frame carrying `page` whole.
+std::string FullPageFrame(const Page& page) {
+  Writer pw;
+  page.EncodeTo(&pw);
+  Writer frame;
+  frame.PutVarint64(1);
+  PageWrite::EncodeFull(pw.data(), &frame);
+  return frame.Release();
 }
 
 class FencingTest : public StorageClusterTest {
@@ -1135,8 +1146,7 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   pg.desc.num_partitions = 4;
   pg.ids = {TupleId{key_bytes, 3}};
   pg.hashes = {h};
-  Writer pw;
-  pg.EncodeTo(&pw);
+  const std::string pw = FullPageFrame(pg);
   CoordinatorRecord crec;
   crec.relation = "R";
   crec.epoch = 3;
@@ -1147,7 +1157,7 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   for (size_t n = 0; n < dep->size(); ++n) {
     auto id = static_cast<net::NodeId>(n);
     ASSERT_TRUE(Rpc(id, kClaimEpoch, ClaimBody(3, 7, 3, 9)).first.ok());
-    ASSERT_TRUE(Rpc(id, kPutPage, pw.data()).first.ok());
+    ASSERT_TRUE(Rpc(id, kPutPage, pw).first.ok());
     ASSERT_TRUE(Rpc(id, kPutCoordinator, cw.data()).first.ok());
   }
   // The torn chain IS visible to discovery: epoch-3 reads walk the orphan
@@ -1193,7 +1203,7 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   }
 
   // The fenced instance's late same-epoch writes are refused everywhere.
-  EXPECT_TRUE(Rpc(1, kPutPage, pw.data()).first.IsFenced());
+  EXPECT_TRUE(Rpc(1, kPutPage, pw).first.IsFenced());
   EXPECT_TRUE(Rpc(1, kPutCoordinator, cw.data()).first.IsFenced());
   Writer tw;
   tw.PutVarint64(1);  // one relation
@@ -1211,6 +1221,213 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   EXPECT_TRUE(
       Rpc(1, kConfirmEpoch, ConfirmBody(3, 7, 3, 9)).first.IsFenced());
   EXPECT_GE(dep->storage(1).counters().fenced_writes_refused, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Page-write frames: delta page versions, full-page fallback, write-time
+// retirement, and publisher page reuse.
+
+class PageWriteTest : public FencingTest {
+ protected:
+  // A page of R, partition `part` of 4, at `epoch`, listing `rows` (key ->
+  // version epoch) in page order.
+  static Page MakePage(uint32_t part, Epoch epoch,
+                       const std::map<std::string, Epoch>& rows) {
+    Page page;
+    page.desc.id = PageId{"R", epoch, part};
+    page.desc.num_partitions = 4;
+    std::vector<std::pair<HashId, std::string>> order;
+    for (const auto& [key, e] : rows) order.emplace_back(TupleKeyHash(key), key);
+    std::sort(order.begin(), order.end());
+    for (const auto& [h, key] : order) {
+      page.ids.push_back(TupleId{key, rows.at(key)});
+      page.hashes.push_back(h);
+    }
+    return page;
+  }
+  static std::string Encoded(const Page& page) {
+    Writer w;
+    page.EncodeTo(&w);
+    return w.Release();
+  }
+  // A one-page frame carrying `next` as a delta against `base`.
+  static std::string DeltaFrame(const Page& base, const Page& next,
+                                uint32_t crc_xor = 0) {
+    Writer frame;
+    frame.PutVarint64(1);
+    PageWrite::EncodeDelta(base, next, PageCrc(Encoded(next)) ^ crc_xor, &frame);
+    return frame.Release();
+  }
+  // Frame indices the node refused as deltas (from a kPutPage reply).
+  static std::vector<uint64_t> Refused(const std::string& reply) {
+    Reader r(reply);
+    uint64_t n = 0;
+    EXPECT_TRUE(r.GetVarint64(&n).ok());
+    std::vector<uint64_t> out(n);
+    for (uint64_t& i : out) EXPECT_TRUE(r.GetVarint64(&i).ok());
+    return out;
+  }
+  Result<std::string> Stored(net::NodeId n, const PageId& id) {
+    return dep->storage(n).store().Get(keys::PageRec(id.relation, id.epoch, id.partition));
+  }
+  Page Base() { return MakePage(1, 2, {{"a", 1}, {"b", 1}, {"c", 1}, {"d", 2}}); }
+  // Overwrites b, deletes c, inserts e.
+  Page Next() { return MakePage(1, 5, {{"a", 1}, {"b", 5}, {"d", 2}, {"e", 5}}); }
+};
+
+TEST_F(PageWriteTest, DeltaStoresExactlyTheFullEncoding) {
+  const Page base = Base(), next = Next();
+  ASSERT_TRUE(Rpc(1, kPutPage, FullPageFrame(base)).first.ok());
+  auto [s, reply] = Rpc(1, kPutPage, DeltaFrame(base, next));
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(Refused(reply).empty());
+  auto stored = Stored(1, next.desc.id);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(*stored, Encoded(next));
+  EXPECT_EQ(dep->storage(1).counters().page_delta_fallbacks, 0u);
+  EXPECT_EQ(dep->storage(1).counters().pages_stored, 2u);
+  // The inverse node follows the delta-written version.
+  auto inv = dep->storage(1).ReadInverseLocal("R", 1);
+  ASSERT_TRUE(inv.ok());
+  EXPECT_EQ(*inv, next.desc.id);
+}
+
+TEST_F(PageWriteTest, MissingBaseIsRefusedThenTheFullResendStoresTheSameBytes) {
+  const Page base = Base(), next = Next();
+  auto [s, reply] = Rpc(1, kPutPage, DeltaFrame(base, next));
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(Refused(reply), std::vector<uint64_t>{0});
+  EXPECT_EQ(dep->storage(1).counters().page_delta_fallbacks, 1u);
+  EXPECT_TRUE(Stored(1, next.desc.id).status().IsNotFound());
+  auto [s2, reply2] = Rpc(1, kPutPage, FullPageFrame(next));
+  ASSERT_TRUE(s2.ok()) << s2.ToString();
+  EXPECT_TRUE(Refused(reply2).empty());
+  auto stored = Stored(1, next.desc.id);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(*stored, Encoded(next));
+}
+
+TEST_F(PageWriteTest, PublisherResendsWholeToAReplicaMissingTheBase) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 4)).ok());
+  UpdateBatch e1;
+  e1["R"] = {Update::Insert(Row("a", "1")), Update::Insert(Row("b", "1"))};
+  ASSERT_TRUE(dep->Publish(0, std::move(e1)).ok());
+  // One replica of a's page loses its base version.
+  HashId h = TupleKeyHash(EncodeTupleKey(SimpleRelation("R", 4).schema, Row("a", "1")));
+  const uint32_t part = PartitionIndexFor(h, 4);
+  auto replicas =
+      dep->storage(0).snapshot().ReplicasOf(PartitionHome(part, 4), dep->storage(0).replication());
+  ASSERT_EQ(replicas.size(), 3u);
+  ASSERT_TRUE(dep->storage(replicas[0]).store().Delete(keys::PageRec("R", 1, part)).ok());
+
+  UpdateBatch e2;
+  e2["R"] = {Update::Insert(Row("a", "2"))};
+  auto e = dep->Publish(0, std::move(e2));
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  EXPECT_EQ(dep->storage(replicas[0]).counters().page_delta_fallbacks, 1u);
+  auto want = Stored(replicas[1], PageId{"R", *e, part});
+  ASSERT_TRUE(want.ok());
+  for (net::NodeId n : replicas) {
+    auto got = Stored(n, PageId{"R", *e, part});
+    ASSERT_TRUE(got.ok()) << "node " << n;
+    EXPECT_EQ(*got, *want) << "node " << n;
+  }
+  auto rows = dep->Retrieve(1, "R", *e);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(AsBag(*rows), AsBag({Row("a", "2"), Row("b", "1")}));
+}
+
+TEST_F(PageWriteTest, ForgedCrcIsRefusedAndNothingStored) {
+  const Page base = Base(), next = Next();
+  ASSERT_TRUE(Rpc(1, kPutPage, FullPageFrame(base)).first.ok());
+  auto [s, reply] = Rpc(1, kPutPage, DeltaFrame(base, next, /*crc_xor=*/1));
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(Refused(reply), std::vector<uint64_t>{0});
+  EXPECT_EQ(dep->storage(1).counters().page_delta_fallbacks, 1u);
+  EXPECT_TRUE(Stored(1, next.desc.id).status().IsNotFound());
+  EXPECT_EQ(dep->storage(1).counters().pages_stored, 1u);
+}
+
+TEST_F(PageWriteTest, DeltaAtAFencedEpochIsRefused) {
+  const Page base = Base(), next = Next();
+  ASSERT_TRUE(Rpc(1, kPutPage, FullPageFrame(base)).first.ok());
+  dep->storage(0).SendOneWay(1, kPurgeEpoch, PurgeBody(next.desc.id.epoch, 7, 9));
+  dep->RunFor(sim::kMicrosPerSec / 5);
+  ASSERT_TRUE(dep->storage(1).IsEpochFenced(next.desc.id.epoch));
+  EXPECT_TRUE(Rpc(1, kPutPage, DeltaFrame(base, next)).first.IsFenced());
+  EXPECT_TRUE(Stored(1, next.desc.id).status().IsNotFound());
+  EXPECT_EQ(dep->storage(1).counters().fenced_writes_refused, 1u);
+  EXPECT_EQ(dep->storage(1).counters().page_delta_fallbacks, 0u);
+  EXPECT_TRUE(Stored(1, base.desc.id).ok());
+}
+
+TEST_F(PageWriteTest, FencedOrTornSupersedingVersionNeverRetiresItsBase) {
+  StorageService& svc = dep->storage(1);
+  svc.SetGcWatermark(10);
+  auto put = [&](uint32_t part, Epoch e) {
+    return Rpc(1, kPutPage, FullPageFrame(MakePage(part, e, {{"k", e}}))).first;
+  };
+  auto present = [&](uint32_t part, Epoch e) {
+    return Stored(1, PageId{"R", e, part}).ok();
+  };
+  // Write-time retirement does run: a write above the watermark retires the
+  // versions its partition's newest at-or-below version supersedes.
+  ASSERT_TRUE(put(0, 3).ok());
+  ASSERT_TRUE(put(0, 5).ok());
+  ASSERT_TRUE(put(0, 15).ok());
+  EXPECT_FALSE(present(0, 3));
+  EXPECT_TRUE(present(0, 5));
+  EXPECT_TRUE(present(0, 15));
+  EXPECT_EQ(svc.gc_stats().retired_pages, 1u);
+
+  // Torn versions (written, never committed) above or at-or-below the
+  // watermark: the write itself never retires the base.
+  ASSERT_TRUE(put(1, 4).ok());
+  ASSERT_TRUE(put(1, 12).ok());
+  ASSERT_TRUE(put(1, 7).ok());
+  EXPECT_TRUE(present(1, 4));
+
+  // Fenced: a write at a burned epoch is refused, and a burned version a
+  // stale push resurrected below the watermark is doomed, never the survivor.
+  ASSERT_TRUE(put(2, 4).ok());
+  dep->storage(0).SendOneWay(1, kPurgeEpoch, PurgeBody(8, 7, 9));
+  dep->storage(0).SendOneWay(1, kPurgeEpoch, PurgeBody(20, 7, 9));
+  dep->RunFor(sim::kMicrosPerSec / 5);
+  EXPECT_TRUE(put(2, 20).IsFenced());
+  ASSERT_TRUE(svc.store().Put(keys::PageRec("R", 8, 2), Encoded(MakePage(2, 8, {{"k", 8}}))).ok());
+  ASSERT_TRUE(put(2, 16).ok());
+  EXPECT_TRUE(present(2, 4));
+  EXPECT_FALSE(present(2, 8));
+  EXPECT_FALSE(present(2, 20));
+}
+
+TEST_F(PageWriteTest, PublisherReusesOnlyItsOwnExactCommittedPage) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 4)).ok());
+  auto publish = [&](size_t via, const std::string& v) {
+    UpdateBatch b;
+    b["R"] = {Update::Insert(Row("a", v))};
+    return dep->Publish(via, std::move(b));
+  };
+  const Publisher::PipelineStats& p0 = dep->publisher(0).pipeline_stats();
+  ASSERT_TRUE(publish(0, "1").ok());  // new partition: no base at all
+  EXPECT_EQ(p0.page_fetches, 0u);
+  EXPECT_EQ(p0.page_reuses, 0u);
+  ASSERT_TRUE(publish(0, "2").ok());  // base = the page publisher 0 committed
+  EXPECT_EQ(p0.page_fetches, 0u);
+  EXPECT_EQ(p0.page_reuses, 1u);
+  ASSERT_TRUE(publish(1, "3").ok());  // another publisher fetches
+  EXPECT_EQ(dep->publisher(1).pipeline_stats().page_fetches, 1u);
+  EXPECT_EQ(dep->publisher(1).pipeline_stats().page_reuses, 0u);
+  // Publisher 0's kept version is no longer the base: fetched, not reused.
+  auto e4 = publish(0, "4");
+  ASSERT_TRUE(e4.ok());
+  EXPECT_EQ(p0.page_fetches, 1u);
+  EXPECT_EQ(p0.page_reuses, 1u);
+  for (Epoch e = 1; e <= *e4; ++e) {
+    auto rows = dep->Retrieve(2, "R", e);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(AsBag(*rows), AsBag({Row("a", std::to_string(e))}));
+  }
 }
 
 }  // namespace

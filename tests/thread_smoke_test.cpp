@@ -26,6 +26,7 @@
 
 #include "common/pending.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "localstore/local_store.h"
 #include "net/rpc.h"
 
@@ -73,9 +74,9 @@ TEST(ThreadSmoke, PendingPerThreadChurn) {
         Pending<std::string> copy = p;  // copies share one state
         p.OnReady([&local] { ++local; });
         copy.OnReady([&local] { ++local; });
-        EXPECT_TRUE(p.Resolve(Status::OK(), "v" + std::to_string(t)));
+        EXPECT_TRUE(p.Resolve(Status::OK(), StrCat({"v", std::to_string(t)})));
         EXPECT_FALSE(copy.Resolve(Status::OK(), "second"));  // exactly once
-        EXPECT_EQ(copy.value(), "v" + std::to_string(t));
+        EXPECT_EQ(copy.value(), StrCat({"v", std::to_string(t)}));
       }
       total.fetch_add(local, std::memory_order_relaxed);
     });

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "localstore/local_store.h"
 #include "wal/backend.h"
 #include "wal/wal.h"
@@ -203,7 +204,7 @@ TEST(Wal, CorruptedCrcStopsReplayAtLastGoodRecord) {
 
 std::map<std::string, std::string> SnapshotMap(int n) {
   std::map<std::string, std::string> m;
-  for (int i = 0; i < n; ++i) m["snap-" + std::to_string(i)] = "v" + std::to_string(i);
+  for (int i = 0; i < n; ++i) m[StrCat({"snap-", std::to_string(i)})] = StrCat({"v", std::to_string(i)});
   return m;
 }
 
@@ -373,7 +374,7 @@ TEST(FileBackend, WalRecoveryOnRealFiles) {
   {
     Wal wal(std::make_shared<FileBackend>(dir.path()), opts);
     for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(wal.AppendPut("k" + std::to_string(i), "v" + std::to_string(i)).ok());
+      ASSERT_TRUE(wal.AppendPut(StrCat({"k", std::to_string(i)}), StrCat({"v", std::to_string(i)})).ok());
     }
     const auto snapshot = SnapshotMap(4);
     ASSERT_TRUE(wal.WriteCheckpoint(MapIter(snapshot)).ok());
@@ -451,7 +452,7 @@ TEST(LocalStoreWal, RepeatedCrashesStayDeterministic) {
     Rng rng(29);
     for (int round = 0; round < 5; ++round) {
       for (int op = 0; op < 200; ++op) {
-        std::string k = "k" + std::to_string(rng.Uniform(80));
+        std::string k = StrCat({"k", std::to_string(rng.Uniform(80))});
         if (rng.OneIn(5)) {
           ASSERT_TRUE(store.Delete(k).ok());
         } else {
@@ -491,7 +492,7 @@ TEST(LocalStoreWal, UnsyncedLossIsAnOperationPrefix) {
   snapshots.push_back(model);
   Rng rng(3);
   for (int op = 0; op < 120; ++op) {
-    std::string k = "k" + std::to_string(rng.Uniform(20));
+    std::string k = StrCat({"k", std::to_string(rng.Uniform(20))});
     if (rng.OneIn(4)) {
       ASSERT_TRUE(store.Delete(k).ok());
       model.erase(k);
@@ -524,7 +525,7 @@ TEST(LocalStoreWal, ExplicitCheckpointResetsTail) {
   localstore::LocalStore store(
       DurableOptions(backend, /*checkpoint_every=*/0, /*sync_every=*/1));
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(store.Put("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(store.Put(StrCat({"k", std::to_string(i)}), "v").ok());
   }
   ASSERT_TRUE(store.Checkpoint().ok());
   EXPECT_EQ(store.stats().checkpoints, 1u);
@@ -562,9 +563,9 @@ TEST(WalThreads, ConcurrentReplayDuringWrites) {
 
   std::map<std::string, std::string> live;
   for (int i = 0; i < 600; ++i) {
-    std::string k = "k" + std::to_string(i % 37);
+    std::string k = StrCat({"k", std::to_string(i % 37)});
     ASSERT_TRUE(wal.AppendPut(k, std::string(64, 'v')).ok());
-    live[k] = "v";
+    live[k] = std::string("v");  // not = "v": GCC 12 -Wrestrict at -O3
     if (i % 150 == 149) {
       ASSERT_TRUE(wal.WriteCheckpoint(MapIter(live)).ok());
     }
