@@ -13,6 +13,9 @@
 #   bench      micro-substrate smoke run + BENCH_*.json field validation
 #   benchdiff  fresh BENCH_*.json vs committed bench/results/ baselines
 #   docs       relative-link check over README/docs/ + compile every example
+#   perfbench  the end-to-end benchmark's own test suite, then a short run of
+#              each workload; any failed output check (e.g. the model-vs-
+#              Retrieve oracle's CHECK FAILED) exits non-zero
 #   all        every stage above, in that order
 #
 #   ci/check.sh [stage]    # default: all
@@ -301,6 +304,19 @@ PY
   echo "docs stage OK: $(echo "$examples" | wc -w) examples compiled"
 }
 
+perfbench_stage() {
+  echo "== perfbench: benchmark test suite + a 2 s run of every workload"
+  python3 perfbench/run.py --test   # configures .bench_build/ and runs the tests
+  # The binary, not run.py: a 2 s run has too few samples for the p95/p99
+  # metrics, which run.py reports as missing. The binary exits non-zero
+  # exactly when an output check failed or an operation failed.
+  cmake --build .bench_build -j "$jobs" --target perfbench
+  for w in publish_steady publish_contended query_mix; do
+    echo "-- $w"
+    ./.bench_build/perfbench --workload "$w" --seed 1 --seconds 2 --trace 0
+  done
+}
+
 case "$stage" in
   tier1) run_stage tier1 tier1 ;;
   release) run_stage release release ;;
@@ -311,6 +327,7 @@ case "$stage" in
   bench) run_stage bench_smoke bench ;;
   benchdiff) run_stage bench_diff benchdiff ;;
   docs) run_stage docs_check docs ;;
+  perfbench) run_stage perfbench_stage perfbench ;;
   all)
     run_stage tier1 tier1
     run_stage release release
@@ -321,9 +338,10 @@ case "$stage" in
     run_stage bench_smoke bench
     run_stage bench_diff benchdiff
     run_stage docs_check docs
+    run_stage perfbench_stage perfbench
     ;;
   *)
-    echo "usage: ci/check.sh [tier1|release|sanitize|tsan|lint|tidy|bench|benchdiff|docs|all]" >&2
+    echo "usage: ci/check.sh [tier1|release|sanitize|tsan|lint|tidy|bench|benchdiff|docs|perfbench|all]" >&2
     exit 2
     ;;
 esac

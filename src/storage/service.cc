@@ -1176,64 +1176,78 @@ void StorageService::PurgeEpochLocal(Epoch epoch) {
 }
 
 void StorageService::HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id) {
-  uint64_t scan_id;
+  uint64_t scan_id, n;
   uint32_t requester;
   std::string rel;
-  PageDescriptor desc;
   KeyFilter filter;
   if (!r->GetU64(&scan_id).ok() || !r->GetU32(&requester).ok() ||
-      !r->GetString(&rel).ok() || !PageDescriptor::DecodeFrom(r, &desc).ok() ||
-      !KeyFilter::DecodeFrom(r, &filter).ok()) {
+      !r->GetString(&rel).ok() || !KeyFilter::DecodeFrom(r, &filter).ok() ||
+      !r->GetVarint64(&n).ok()) {
     Respond(from, req_id, Status::Corruption("bad scan request"), {});
     return;
   }
-
-  auto page = ReadPageLocal(desc.id);
-  if (!page.ok()) {
-    // This replica does not (yet) have the page; the caller retries another.
-    Respond(from, req_id, page.status(), {});
-    return;
-  }
-  counters_.scans_served += 1;
-  ChargeCpu(host_->network()->costs().index_entry_us *
-            static_cast<double>(page->ids.size()));
-
-  // Group surviving tuple ids by their data storage node (Algorithm 1 line
-  // 8), routing on the hashes carried in the page — no SHA-1 per id.
   if (FindRelation(rel) == nullptr) {
     Respond(from, req_id, Status::NotFound("no relation " + rel), {});
     return;
   }
-  std::map<net::NodeId, std::vector<size_t>> by_owner;
-  for (size_t i = 0; i < page->ids.size(); ++i) {
-    if (!filter.Matches(page->ids[i].key_bytes)) continue;
-    net::NodeId owner = board_->current.OwnerOf(page->hashes[i]);
-    by_owner[owner].push_back(i);
+
+  // Group the surviving tuple ids of every page in the frame by their data
+  // storage node (Algorithm 1 line 8), routing on the hashes carried in the
+  // pages — no SHA-1 per id — so each owner gets one kFetchTuples.
+  struct Part {
+    Writer ids;  // per id: hash(20B BE) + TupleId
+    uint64_t n = 0;
+  };
+  std::map<net::NodeId, Part> by_owner;
+  Writer refused;  // frame indices of pages this replica does not hold
+  uint64_t n_refused = 0;
+  std::string hb;  // reused 20-byte scratch: no per-id allocation
+  for (uint64_t i = 0; i < n; ++i) {
+    PageDescriptor desc;
+    if (!PageDescriptor::DecodeFrom(r, &desc).ok()) {
+      Respond(from, req_id, Status::Corruption("bad scan request"), {});
+      return;
+    }
+    auto page = ReadPageLocal(desc.id);
+    if (!page.ok()) {
+      // Not (yet) here: the requester asks the page's next replica.
+      refused.PutVarint64(i);
+      ++n_refused;
+      continue;
+    }
+    counters_.scans_served += 1;
+    ChargeCpu(host_->network()->costs().index_entry_us *
+              static_cast<double>(page->ids.size()));
+    for (size_t k = 0; k < page->ids.size(); ++k) {
+      if (!filter.Matches(page->ids[k].key_bytes)) continue;
+      Part& part = by_owner[board_->current.OwnerOf(page->hashes[k])];
+      hb.clear();
+      page->hashes[k].AppendBigEndian(&hb);
+      part.ids.PutRaw(hb.data(), hb.size());
+      page->ids[k].EncodeTo(&part.ids);
+      ++part.n;
+    }
   }
+  counters_.scan_frames_served += 1;
 
   uint64_t total_ids = 0;
-  std::string hb;  // reused 20-byte scratch: no per-id allocation
-  for (auto& [owner, idxs] : by_owner) {
+  for (auto& [owner, part] : by_owner) {
     Writer w;
     w.PutU64(scan_id);
     w.PutU32(requester);
     w.PutString(rel);
-    w.PutVarint64(idxs.size());
-    for (size_t i : idxs) {
-      // hash(20B BE) + TupleId: the data node splices these into its keys.
-      hb.clear();
-      page->hashes[i].AppendBigEndian(&hb);
-      w.PutRaw(hb.data(), hb.size());
-      page->ids[i].EncodeTo(&w);
-    }
-    total_ids += idxs.size();
+    w.PutVarint64(part.n);
+    w.PutRaw(part.ids.data().data(), part.ids.size());
+    total_ids += part.n;
     SendOneWay(owner, kFetchTuples, w.Release());
   }
 
-  // Page summary back to the requester so it can count completion.
+  // Frame summary back to the requester so it can count completion.
   Writer w;
   w.PutVarint64(by_owner.size());
   w.PutVarint64(total_ids);
+  w.PutVarint64(n_refused);
+  w.PutRaw(refused.data().data(), refused.size());
   Respond(from, req_id, Status::OK(), w.Release());
 }
 
@@ -1393,49 +1407,66 @@ void StorageService::Retrieve(const std::string& rel, Epoch epoch,
       ScanCheckDone(scan_id);
       return;
     }
-    for (const PageDescriptor& desc : rec.pages) {
-      StartPageScan(scan_id, desc, 0);
-    }
+    StartPageScans(scan_id, rec.pages, 0);
   });
 }
 
-void StorageService::StartPageScan(uint64_t scan_id, const PageDescriptor& desc,
-                                   size_t replica_idx) {
+void StorageService::StartPageScans(uint64_t scan_id,
+                                    const std::vector<PageDescriptor>& descs,
+                                    size_t replica_idx) {
   auto it = scans_.find(scan_id);
   if (it == scans_.end()) return;
-  ScanState& state = it->second;
+  const ScanState& state = it->second;
 
-  auto replicas = board_->current.ReplicasOf(desc.home(), replication_);
-  if (replica_idx >= replicas.size()) {
-    ScanFail(scan_id, Status::Unavailable("no replica can scan page " +
-                                          desc.id.ToString()));
-    return;
+  // Every page goes to ITS replica at `replica_idx`, so failover walks each
+  // page's own replica order, exactly as a one-page scan would.
+  std::map<net::NodeId, std::vector<PageDescriptor>> frames;
+  for (const PageDescriptor& desc : descs) {
+    auto replicas = board_->current.ReplicasOf(desc.home(), replication_);
+    if (replica_idx >= replicas.size()) {
+      ScanFail(scan_id, Status::Unavailable("no replica can scan page " +
+                                            desc.id.ToString()));
+      return;
+    }
+    frames[replicas[replica_idx]].push_back(desc);
   }
-  Writer w;
-  w.PutU64(scan_id);
-  w.PutU32(node());
-  w.PutString(state.relation);
-  desc.EncodeTo(&w);
-  state.filter.EncodeTo(&w);
-
-  Call(replicas[replica_idx], kScanPage, w.Release(),
-       [this, scan_id, desc, replica_idx](Status st, const std::string& reply) {
-         auto sit = scans_.find(scan_id);
-         if (sit == scans_.end()) return;
-         if (!st.ok()) {
-           StartPageScan(scan_id, desc, replica_idx + 1);
-           return;
-         }
-         Reader r(reply);
-         uint64_t parts, ids;
-         if (!r.GetVarint64(&parts).ok() || !r.GetVarint64(&ids).ok()) {
-           ScanFail(scan_id, Status::Corruption("bad page summary"));
-           return;
-         }
-         sit->second.summaries_received += 1;
-         sit->second.data_parts_expected += parts;
-         ScanCheckDone(scan_id);
-       });
+  for (auto& [to, frame] : frames) {
+    Writer w;
+    w.PutU64(scan_id);
+    w.PutU32(node());
+    w.PutString(state.relation);
+    state.filter.EncodeTo(&w);
+    w.PutVarint64(frame.size());
+    for (const PageDescriptor& desc : frame) desc.EncodeTo(&w);
+    Call(to, kScanPage, w.Release(),
+         [this, scan_id, frame = std::move(frame), replica_idx](
+             Status st, const std::string& reply) {
+           auto sit = scans_.find(scan_id);
+           if (sit == scans_.end()) return;
+           if (!st.ok()) {  // the whole frame fails over
+             StartPageScans(scan_id, frame, replica_idx + 1);
+             return;
+           }
+           Reader r(reply);
+           uint64_t parts, ids, n_refused;
+           std::vector<PageDescriptor> refused;
+           bool ok = r.GetVarint64(&parts).ok() && r.GetVarint64(&ids).ok() &&
+                     r.GetVarint64(&n_refused).ok() && n_refused <= frame.size();
+           for (uint64_t k = 0; ok && k < n_refused; ++k) {
+             uint64_t i;
+             ok = r.GetVarint64(&i).ok() && i < frame.size();
+             if (ok) refused.push_back(frame[i]);
+           }
+           if (!ok) {
+             ScanFail(scan_id, Status::Corruption("bad scan frame summary"));
+             return;
+           }
+           sit->second.pages_answered += frame.size() - refused.size();
+           sit->second.data_parts_expected += parts;
+           if (!refused.empty()) StartPageScans(scan_id, refused, replica_idx + 1);
+           ScanCheckDone(scan_id);
+         });
+  }
 }
 
 void StorageService::FetchTuple(const std::string& rel, const TupleId& id,
@@ -1513,7 +1544,7 @@ void StorageService::ScanCheckDone(uint64_t scan_id) {
   if (it == scans_.end()) return;
   ScanState& state = it->second;
   if (state.failed) return;
-  if (state.summaries_received < state.pages_total) return;
+  if (state.pages_answered < state.pages_total) return;
   if (state.data_parts_received < state.data_parts_expected) return;
   if (state.lookups_outstanding > 0) return;
   RetrieveCallback cb = std::move(state.cb);

@@ -58,7 +58,11 @@ enum StorageCode : uint16_t {
   kGetPage = 6,
   kGetInverse = 7,
   kGetTuple = 8,
-  kScanPage = 9,      // Algorithm 1, step 4: ask index node to scan a page
+  // Algorithm 1, step 4: one scan frame per index node and Retrieve, naming
+  // every page of the epoch that node serves at the current replica index.
+  // The reply body lists the frame indices of pages the node does not hold;
+  // the requester asks each page's next replica for exactly those.
+  kScanPage = 9,
   kFetchTuples = 10,  // Algorithm 1, step 8: index node -> data node
   kTupleData = 11,    // Algorithm 1, step 9: data node -> requester (direct)
   kReplicaPush = 12,  // background re-replication (PAST-style, §III-C);
@@ -324,7 +328,9 @@ class StorageService : public net::Service {
     uint64_t tuples_stored = 0;
     uint64_t pages_stored = 0;
     uint64_t coordinators_stored = 0;
-    uint64_t scans_served = 0;
+    uint64_t scans_served = 0;        // pages scanned
+    uint64_t scan_frames_served = 0;  // kScanPage frames (one per Retrieve
+                                      // and index node, plus failovers)
     uint64_t tuples_served = 0;
     // Coalesced publish frames received: one per (publish, destination node)
     // pair — the RPC-count story of the pipelined publish path.
@@ -357,7 +363,7 @@ class StorageService : public net::Service {
     KeyFilter filter;
     RetrieveCallback cb;
     size_t pages_total = 0;
-    size_t summaries_received = 0;
+    size_t pages_answered = 0;  // pages some replica scanned
     size_t data_parts_expected = 0;
     size_t data_parts_received = 0;
     size_t lookups_outstanding = 0;  // retries of individually missing tuples
@@ -454,7 +460,10 @@ class StorageService : public net::Service {
   void HandleTupleData(net::NodeId from, Reader* r);
   void ScanCheckDone(uint64_t scan_id);
   void ScanFail(uint64_t scan_id, Status st);
-  void StartPageScan(uint64_t scan_id, const PageDescriptor& desc, size_t replica_idx);
+  /// Sends each page to its replica at `replica_idx`, one kScanPage frame
+  /// per index node; refused or failed pages move on to the next replica.
+  void StartPageScans(uint64_t scan_id, const std::vector<PageDescriptor>& descs,
+                      size_t replica_idx);
   void RecoverMissingTuple(uint64_t scan_id, const TupleId& id, size_t replica_idx);
 
   void ChargeCpu(double micros) { host_->network()->ChargeCpu(node(), micros); }

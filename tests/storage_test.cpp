@@ -1430,5 +1430,177 @@ TEST_F(PageWriteTest, PublisherReusesOnlyItsOwnExactCommittedPage) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Retrieve scan frames: one kScanPage frame per index node, per-page failover
+
+class ScanFrameTest : public ::testing::Test {
+ protected:
+  void Start(size_t nodes, uint32_t partitions) {
+    deploy::DeploymentOptions opts;
+    opts.num_nodes = nodes;
+    opts.replication = 3;
+    dep = std::make_unique<deploy::Deployment>(opts);
+    def = SimpleRelation("R", partitions);
+    ASSERT_TRUE(dep->CreateRelation(0, def).ok());
+  }
+  // Publishes one row per kept key of k000..k399; returns the epoch.
+  Epoch PublishRows(const std::function<bool(const std::string&)>& keep =
+                        [](const std::string&) { return true; }) {
+    UpdateBatch batch;
+    for (int i = 0; i < 400; ++i) {
+      std::string k = StrCat({"k", i < 10 ? "00" : i < 100 ? "0" : "",
+                              std::to_string(i)});
+      if (!keep(k)) continue;
+      Tuple t = Row(k, StrCat({"v", std::to_string(i)}));
+      expect.insert(TupleToString(t));
+      batch["R"].push_back(Update::Insert(std::move(t)));
+    }
+    auto e = dep->Publish(0, std::move(batch));
+    EXPECT_TRUE(e.ok()) << e.status().ToString();
+    return e.ok() ? *e : 0;
+  }
+  HashId KeyHash(const std::string& k) const {
+    return PlacementHash(def, EncodeTupleKey(def.schema, Row(k, "")));
+  }
+  std::vector<net::NodeId> PageReplicas(uint32_t part) const {
+    return dep->snapshot().ReplicasOf(PartitionHome(part, def.num_partitions), 3);
+  }
+  std::vector<PageDescriptor> Pages(Epoch e) {
+    std::vector<PageDescriptor> pages;
+    bool done = false;
+    dep->storage(0).GetCoordinator("R", e, [&](Status st, CoordinatorRecord rec) {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      pages = rec.pages;
+      done = true;
+    });
+    dep->RunUntil([&done] { return done; });
+    return pages;
+  }
+  uint64_t Sum(uint64_t StorageService::Counters::*field) {
+    uint64_t total = 0;
+    for (size_t i = 0; i < dep->size(); ++i) total += dep->storage(i).counters().*field;
+    return total;
+  }
+  void ExpectNoScansLeft() {
+    for (size_t i = 0; i < dep->size(); ++i) {
+      EXPECT_EQ(dep->storage(i).active_scan_count(), 0u) << "node " << i;
+    }
+  }
+
+  std::unique_ptr<deploy::Deployment> dep;
+  RelationDef def;
+  std::multiset<std::string> expect;
+};
+
+TEST_F(ScanFrameTest, RetrieveCostsAtMostOneFramePerIndexNode) {
+  Start(8, 64);
+  const Epoch e = PublishRows();
+  const size_t pages = Pages(e).size();
+  ASSERT_EQ(pages, 64u);
+
+  uint64_t frames = Sum(&StorageService::Counters::scan_frames_served);
+  uint64_t served = Sum(&StorageService::Counters::scans_served);
+  auto rows = dep->Retrieve(1, "R", e);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(AsBag(*rows), expect);
+  EXPECT_LE(Sum(&StorageService::Counters::scan_frames_served) - frames, 8u);
+  EXPECT_EQ(Sum(&StorageService::Counters::scans_served) - served, pages);
+
+  KeyFilter filter;
+  filter.all = false;
+  filter.lo = EncodeTupleKey(def.schema, Row("k100", ""));
+  filter.hi = EncodeTupleKey(def.schema, Row("k199", ""));
+  std::multiset<std::string> in_range;
+  for (int i = 100; i < 200; ++i) {
+    in_range.insert(TupleToString(
+        Row(StrCat({"k", std::to_string(i)}), StrCat({"v", std::to_string(i)}))));
+  }
+  frames = Sum(&StorageService::Counters::scan_frames_served);
+  rows = dep->Retrieve(2, "R", e, filter);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(AsBag(*rows), in_range);
+  EXPECT_LE(Sum(&StorageService::Counters::scan_frames_served) - frames, 8u);
+  ExpectNoScansLeft();
+}
+
+// A replica that lacks one page refuses just that page; its next replica
+// serves it and every other page stays with its first replica.
+TEST_F(ScanFrameTest, MissingPageFailsOverAloneToItsNextReplica) {
+  Start(8, 64);
+  const Epoch e = PublishRows();
+  const std::vector<PageDescriptor> pages = Pages(e);
+  const uint32_t lost = pages[5].id.partition;
+  const std::vector<net::NodeId> lost_at = PageReplicas(lost);
+  ASSERT_TRUE(dep->storage(lost_at[0]).store().Delete(keys::PageRec("R", e, lost)).ok());
+
+  // Pages each node should scan: its first-replica pages, with the lost page
+  // moved from its first replica to its second.
+  std::vector<uint64_t> want(dep->size(), 0);
+  std::set<net::NodeId> first_replicas;
+  for (const PageDescriptor& d : pages) {
+    net::NodeId n = PageReplicas(d.id.partition)[0];
+    first_replicas.insert(n);
+    ++want[n];
+  }
+  --want[lost_at[0]];
+  ++want[lost_at[1]];
+  std::vector<uint64_t> before(dep->size());
+  for (size_t i = 0; i < dep->size(); ++i) before[i] = dep->storage(i).counters().scans_served;
+  const uint64_t frames = Sum(&StorageService::Counters::scan_frames_served);
+
+  auto rows = dep->Retrieve(1, "R", e);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(AsBag(*rows), expect);
+  for (size_t i = 0; i < dep->size(); ++i) {
+    EXPECT_EQ(dep->storage(i).counters().scans_served - before[i], want[i]) << "node " << i;
+  }
+  EXPECT_EQ(Sum(&StorageService::Counters::scan_frames_served) - frames,
+            first_replicas.size() + 1);
+  ExpectNoScansLeft();
+}
+
+// A dead first replica fails its whole frame over to each page's second
+// replica. Node ranges (6 nodes) and partitions (8) do not align, so the
+// victim can be the first index replica of pages whose rows all live on
+// other nodes: the data legs stay reachable without a routing update.
+TEST_F(ScanFrameTest, DeadFirstReplicaFailsOverTheWholeFrame) {
+  Start(6, 8);
+  const net::NodeId victim = PageReplicas(1)[0];
+  const Epoch e = PublishRows([&](const std::string& k) {
+    return dep->snapshot().OwnerOf(KeyHash(k)) != victim;
+  });
+  ASSERT_FALSE(expect.empty());
+  size_t victim_pages = 0;
+  for (const PageDescriptor& d : Pages(e)) {
+    if (PageReplicas(d.id.partition)[0] == victim) ++victim_pages;
+  }
+  ASSERT_GE(victim_pages, 2u);
+
+  dep->KillNode(victim, /*update_routing=*/false);
+  const net::NodeId via = victim == 1 ? 2 : 1;
+  const uint64_t served = Sum(&StorageService::Counters::scans_served);
+  auto rows = dep->Retrieve(via, "R", e);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(AsBag(*rows), expect);
+  EXPECT_EQ(Sum(&StorageService::Counters::scans_served) - served, Pages(e).size());
+  ExpectNoScansLeft();
+}
+
+// A page no replica holds resolves the Retrieve Unavailable as soon as the
+// last replica refuses it, not at the whole-scan deadline.
+TEST_F(ScanFrameTest, PageMissingEverywhereFailsFast) {
+  Start(8, 64);
+  const Epoch e = PublishRows();
+  const uint32_t lost = Pages(e)[9].id.partition;
+  for (net::NodeId n : PageReplicas(lost)) {
+    ASSERT_TRUE(dep->storage(n).store().Delete(keys::PageRec("R", e, lost)).ok());
+  }
+  const sim::SimTime t0 = dep->sim().now();
+  auto rows = dep->Retrieve(1, "R", e);
+  EXPECT_TRUE(rows.status().IsUnavailable()) << rows.status().ToString();
+  EXPECT_LT(dep->sim().now() - t0, sim::kMicrosPerSec);
+  ExpectNoScansLeft();
+}
+
 }  // namespace
 }  // namespace orchestra::storage
