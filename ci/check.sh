@@ -213,9 +213,11 @@ for ref_path in sorted(glob.glob("bench/results/BENCH_*.json")):
                     "under injected overload")
         except KeyError as e:
             failures.append(f"pipelined_publish: missing entry {e}")
-    # Sustained-churn acceptance bound: incremental background GC must keep
-    # the gc_on/gc_off throughput gap <= 10% (both sides run in the same
-    # process on the same machine, so the ratio is meaningful).
+    # Sustained-churn acceptance bounds: GC must keep the gc_on/gc_off
+    # throughput gap <= 10% (both sides run in the same process on the same
+    # machine, so the ratio is meaningful), and its simulated cost — the
+    # retirement work billed to the nodes — must keep gc_on's deterministic
+    # sim makespan within 1% of gc_off's.
     if ref["bench"] == "sustained_churn":
         f = fresh_entries
         try:
@@ -224,6 +226,10 @@ for ref_path in sorted(glob.glob("bench/results/BENCH_*.json")):
                 failures.append(
                     f"sustained_churn: gc_on throughput {on['ops_per_sec']:.0f}"
                     f" < 90% of gc_off {off['ops_per_sec']:.0f}")
+            if on["sim_makespan_s"] > 1.01 * off["sim_makespan_s"]:
+                failures.append(
+                    f"sustained_churn: gc_on sim makespan {on['sim_makespan_s']:.4f} s"
+                    f" > 1.01 x gc_off {off['sim_makespan_s']:.4f} s")
         except KeyError as e:
             failures.append(f"sustained_churn: missing entry {e}")
     # Recovery acceptance bounds, on the FRESH run's deterministic replay

@@ -27,8 +27,7 @@ Deployment::Deployment(DeploymentOptions options)
     gossip_.push_back(std::make_unique<overlay::GossipService>(
         hosts_.back().get(), everyone, options_.seed + i, options_.gossip_interval_us));
     storage_.push_back(std::make_unique<storage::StorageService>(
-        hosts_.back().get(), board_, options_.replication, StoreOptionsForNewNode(),
-        options_.gc));
+        hosts_.back().get(), board_, options_.replication, StoreOptionsForNewNode()));
     publishers_.push_back(std::make_unique<storage::Publisher>(
         storage_.back().get(), gossip_.back().get()));
     publishers_.back()->set_gc_keep_epochs(options_.gc_keep_epochs);
@@ -139,8 +138,7 @@ net::NodeId Deployment::AddNode() {
   gossip_.push_back(std::make_unique<overlay::GossipService>(
       hosts_.back().get(), everyone, options_.seed + id, options_.gossip_interval_us));
   storage_.push_back(std::make_unique<storage::StorageService>(
-      hosts_.back().get(), board_, options_.replication, StoreOptionsForNewNode(),
-      options_.gc));
+      hosts_.back().get(), board_, options_.replication, StoreOptionsForNewNode()));
   publishers_.push_back(std::make_unique<storage::Publisher>(
       storage_.back().get(), gossip_.back().get()));
   publishers_.back()->set_gc_keep_epochs(options_.gc_keep_epochs);

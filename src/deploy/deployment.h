@@ -56,8 +56,6 @@ struct DeploymentOptions {
   /// newest checkpoint plus the surviving tail (docs/DURABILITY.md). Off
   /// reverts to the seed behavior where the record log itself survives.
   bool durable_wal = true;
-  /// Per-node incremental background GC tuning (slice budget and pacing).
-  storage::GcOptions gc;
   /// Per-node client::Session tuning: publish window (pipelining), admission
   /// control watermarks. Defaults pipeline up to 4 publishes per session.
   /// Leave `session.participant` at 0: every node's session then publishes

@@ -136,6 +136,33 @@ bool ParseClaim(std::string_view key, Epoch* out) {
   return ReadEpochBE(&r, out) && r.AtEnd();
 }
 
+bool ParseVersionEpoch(std::string_view key, Epoch* out) {
+  switch (Tag(key)) {
+    case kDataTag: {
+      ParsedDataKey dk;
+      if (!ParseData(key, &dk)) return false;
+      *out = dk.epoch;
+      return true;
+    }
+    case kPageTag: {
+      ParsedPageKey pk;
+      if (!ParsePageRec(key, &pk)) return false;
+      *out = pk.epoch;
+      return true;
+    }
+    case kCoordTag: {
+      ParsedCoordKey ck;
+      if (!ParseCoord(key, &ck)) return false;
+      *out = ck.epoch;
+      return true;
+    }
+    case kClaimTag:
+      return ParseClaim(key, out);
+    default:
+      return false;
+  }
+}
+
 bool ParseInverse(std::string_view key, ParsedInverseKey* out) {
   if (key.empty() || key[0] != 'I') return false;
   Reader r(key.substr(1));

@@ -103,6 +103,10 @@ bool ParseCoord(std::string_view key, ParsedCoordKey* out);
 /// Epoch of an epoch-claim key.
 bool ParseClaim(std::string_view key, Epoch* out);
 
+/// Epoch of a versioned key — a data, page, coordinator or claim record —
+/// through its family's parser; false for other families and malformed keys.
+bool ParseVersionEpoch(std::string_view key, Epoch* out);
+
 /// Fields of an inverse-node key: relation, partition (no epoch — the value
 /// holds the latest PageId).
 struct ParsedInverseKey {

@@ -1,6 +1,7 @@
 #include "storage/service.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <unordered_set>
 
@@ -27,14 +28,12 @@ Status KeyFilter::DecodeFrom(Reader* r, KeyFilter* out) {
 
 StorageService::StorageService(net::NodeHost* host,
                                std::shared_ptr<SnapshotBoard> board, int replication,
-                               localstore::StoreOptions store_options,
-                               GcOptions gc_options)
+                               localstore::StoreOptions store_options)
     : host_(host),
       board_(std::move(board)),
       replication_(replication),
       rpc_(host, net::ServiceId::kStorage, kReply),
-      store_(store_options),
-      gc_options_(gc_options) {
+      store_(store_options) {
   host_->Register(net::ServiceId::kStorage, this);
   // Every reply this node receives carries the responder's load hint; keep a
   // timestamped per-peer view for the session's admission control.
@@ -326,7 +325,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       uint64_t nrels;
       if (!r->GetVarint64(&nrels).ok()) return;
       counters_.puttuples_frames += 1;
-      uint64_t total = 0;
+      uint64_t total = 0, marked = 0;
       uint64_t fenced_refused = 0;
       for (uint64_t ri = 0; ri < nrels; ++ri) {
         std::string_view rel;
@@ -352,13 +351,15 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
             ++fenced_refused;
             continue;
           }
-          store_.Put(keys::DataRaw(rel, hash_be20, key_bytes, epoch), tuple_bytes)
-              .ok();
+          std::string key = keys::DataRaw(rel, hash_be20, key_bytes, epoch);
+          store_.Put(key, tuple_bytes).ok();
+          marked += MarkGroup(key, epoch);
           counters_.tuples_stored += 1;
         }
         total += n;
       }
-      ChargeCpu(costs.tuple_write_us * static_cast<double>(total));
+      ChargeCpu(costs.tuple_write_us * static_cast<double>(total) +
+                costs.index_entry_us * static_cast<double>(marked));
       if (fenced_refused > 0) {
         counters_.fenced_writes_refused += fenced_refused;
         Respond(from, req_id,
@@ -413,7 +414,9 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
           return;
         }
       }
-      store_.Put(keys::Coord(rec.relation, rec.epoch), rec_bytes).ok();
+      std::string key = keys::Coord(rec.relation, rec.epoch);
+      store_.Put(key, rec_bytes).ok();
+      MarkGroup(key, rec.epoch);
       counters_.coordinators_stored += 1;
       // Deliberately does NOT advance max_epoch_seen_: a torn publish leaves
       // partial records, and discovery basing on them would absorb
@@ -472,11 +475,8 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
           }
         }
       }
-      EpochClaimRecord rec{participant, claimant_node, /*committed=*/true,
-                           nonce};
-      Writer w;
-      rec.EncodeTo(&w);
-      store_.Put(keys::EpochClaim(epoch), w.data()).ok();
+      StoreClaim(epoch, EpochClaimRecord{participant, claimant_node,
+                                         /*committed=*/true, nonce});
       max_epoch_seen_ = std::max(max_epoch_seen_, epoch);
       claim_touch_[epoch] = host_->network()->simulator()->now();
       Respond(from, req_id, Status::OK(), {});
@@ -582,9 +582,18 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
         MergeFencedEpoch(fe, fp, fnonce);
       }
       if (!r->GetVarint64(&n).ok()) return;
+      uint64_t marked = 0;
       for (uint64_t i = 0; i < n; ++i) {
         std::string_view key, value;
         if (!r->GetStringView(&key).ok() || !r->GetStringView(&value).ok()) return;
+        // Every merge of a versioned record marks its group, so a stale push
+        // that resurrects a retired version is retired at the next advance.
+        Epoch ve = 0;
+        const bool versioned = keys::ParseVersionEpoch(key, &ve);
+        auto put = [&](std::string_view v) {
+          store_.Put(key, v).ok();
+          if (versioned) marked += MarkGroup(key, ve);
+        };
         if (keys::Tag(key) == keys::kClaimTag) {
           // Epoch claims merge by strength: committed > purged burn > burn
           // promise > uncommitted claim > absent. A CONFIRMED claim replaces
@@ -606,28 +615,26 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
               Reader cr(curv.value());
               have_mine = EpochClaimRecord::DecodeFrom(&cr, &mine).ok();
             }
-            Epoch ce = 0;
-            bool parsed = keys::ParseClaim(key, &ce);
             if (pushed.committed) {
-              if (!have_mine || !mine.committed) store_.Put(key, value).ok();
-              if (parsed) {
-                max_epoch_seen_ = std::max(max_epoch_seen_, ce);
-                claim_touch_.erase(ce);
+              if (!have_mine || !mine.committed) put(value);
+              if (versioned) {
+                max_epoch_seen_ = std::max(max_epoch_seen_, ve);
+                claim_touch_.erase(ve);
               }
             } else if (pushed.fenced && pushed.purged) {
-              if (parsed && (!have_mine || !mine.committed)) {
-                MergeFencedEpoch(ce, pushed.participant, pushed.nonce);
+              if (versioned && (!have_mine || !mine.committed)) {
+                MergeFencedEpoch(ve, pushed.participant, pushed.nonce);
               }
             } else if (pushed.fenced) {
               if (!have_mine || (!mine.committed && !mine.fenced)) {
-                store_.Put(key, value).ok();
-                if (parsed) claim_touch_.erase(ce);
+                put(value);
+                if (versioned) claim_touch_.erase(ve);
               }
             } else if (!have_mine && !curv.ok()) {
-              if (!(parsed && fenced_epochs_.count(ce) > 0)) {
-                store_.Put(key, value).ok();
-                if (parsed) {
-                  claim_touch_[ce] =
+              if (!(versioned && fenced_epochs_.count(ve) > 0)) {
+                put(value);
+                if (versioned) {
+                  claim_touch_[ve] =
                       host_->network()->simulator()->now();
                 }
               }
@@ -644,16 +651,12 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
           // ever overwrite the other's replicas); merging toward the
           // smaller participant makes every replica CONVERGE to one
           // deterministic writer per epoch instead.
-          if (!fenced_epochs_.empty()) {
-            keys::ParsedCoordKey ck;
-            if (keys::ParseCoord(key, &ck) &&
-                fenced_epochs_.count(ck.epoch) > 0) {
-              continue;  // burned epoch: never rebuild its coordinator chain
-            }
+          if (versioned && fenced_epochs_.count(ve) > 0) {
+            continue;  // burned epoch: never rebuild its coordinator chain
           }
           auto curv = store_.Get(key);
           if (!curv.ok()) {
-            store_.Put(key, value).ok();
+            put(value);
           } else {
             Reader pr(value);
             Reader cr(curv.value());
@@ -662,46 +665,33 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
                 CoordinatorRecord::DecodeFrom(&cr, &mine).ok() &&
                 pushed.participant != 0 && mine.participant != 0 &&
                 pushed.participant < mine.participant) {
-              store_.Put(key, value).ok();
+              put(value);
             }
           }
           continue;
         }
         // Fence filter on store-if-absent: a stale pusher that missed a
         // fence must not resurrect the purged orphans here.
-        if (!fenced_epochs_.empty()) {
-          Epoch ve = 0;
-          bool versioned = false;
-          if (keys::Tag(key) == keys::kDataTag) {
-            keys::ParsedDataKey dk;
-            versioned = keys::ParseData(key, &dk);
-            if (versioned) ve = dk.epoch;
-          } else if (keys::Tag(key) == keys::kPageTag) {
-            keys::ParsedPageKey pk;
-            versioned = keys::ParsePageRec(key, &pk);
-            if (versioned) ve = pk.epoch;
-          }
-          if (versioned && fenced_epochs_.count(ve) > 0) continue;
-        }
-        if (!store_.Contains(key)) store_.Put(key, value).ok();
+        if (versioned && fenced_epochs_.count(ve) > 0) continue;
+        if (!store_.Contains(key)) put(value);
         if (keys::Tag(key) == keys::kCatalogTag) {
           Reader cr(value);
           RelationDef def;
           if (RelationDef::DecodeFrom(&cr, &def).ok()) catalog_[def.name] = def;
         }
       }
-      ChargeCpu(costs.tuple_write_us * static_cast<double>(n));
+      ChargeCpu(costs.tuple_write_us * static_cast<double>(n) +
+                costs.index_entry_us * static_cast<double>(marked));
       // Piggybacked GC watermarks: a freshly restarted node (its table
       // resets empty) learns every participant's mark from the first replica
-      // push instead of waiting for the next advertisements. Conversely, a
-      // push from a node that lags OUR watermark may have resurrected
-      // already-retired records. Marks are merged WITHOUT per-mark
-      // retirement and the sweep runs ONCE at the end — a push used to run
-      // a full-store sweep per mark plus one more.
+      // push instead of waiting for the next advertisements (and arms its
+      // retirement index). Conversely, a push from a node that lags OUR
+      // watermark may have resurrected already-retired records: their marks
+      // are due, and retirement runs once for the whole push.
       for (const auto& [p, m] : pushed_marks) MergeParticipantMark(p, m);
       Epoch effective = EffectiveParticipantWatermark();
-      if (effective > gc_watermark_) gc_watermark_ = effective;
-      if (n > 0 && gc_watermark_ > 0) ScheduleGcSweep();
+      if (effective > gc_watermark_) AdvanceGc(effective);
+      ScheduleRetirement();
       Respond(from, req_id, Status::OK(), {});
       return;
     }
@@ -782,7 +772,9 @@ void StorageService::StorePage(const PageId& id, std::string_view page_bytes,
   std::string key = keys::PageRec(id.relation, id.epoch, id.partition);
   store_.Put(key, page_bytes).ok();
   counters_.pages_stored += 1;
-  ChargeCpu(host_->network()->costs().index_entry_us * static_cast<double>(entries));
+  const bool marked = MarkGroup(key, id.epoch);
+  ChargeCpu(host_->network()->costs().index_entry_us *
+            static_cast<double>(entries + marked));
   // Inverse node bookkeeping: latest page for this partition (§IV).
   auto cur = ReadInverseLocal(id.relation, id.partition);
   if (!cur.ok() || cur.value().epoch <= id.epoch) {
@@ -790,33 +782,18 @@ void StorageService::StorePage(const PageId& id, std::string_view page_bytes,
     id.EncodeTo(&iw);
     store_.Put(keys::Inverse(id.relation, id.partition), iw.data()).ok();
   }
-  if (gc_watermark_ > 0 && id.epoch > gc_watermark_) RetirePageGroup(key);
+  if (marked && id.epoch > gc_watermark_) {
+    gc_due_.emplace(keys::VersionGroupPrefix(key));
+    ScheduleRetirement();
+  }
 }
 
-void StorageService::RetirePageGroup(std::string_view page_key) {
-  // Retirement keeps pace with writes: each page write re-applies the rule
-  // to its own partition's versions at the current watermark, so a hot
-  // partition never accumulates versions between background sweeps. The
-  // group is read from the store itself, never from the inverse pointer (a
-  // torn or fenced version can move that pointer).
-  const Epoch w = gc_watermark_;
-  std::vector<std::string> doomed;
-  VersionCarry carry;
-  uint64_t n_pages = 0, n_tombs = 0, scanned = 0;
-  VersionRule rule{w, &fenced_epochs_, &carry, &doomed, &n_pages, &n_tombs};
-  for (auto it = store_.SeekPrefix(keys::VersionGroupPrefix(page_key));
-       it.Valid(); it.Next()) {
-    keys::ParsedPageKey pk;
-    if (!keys::ParsePageRec(it.key(), &pk)) continue;
-    if (pk.epoch > w) break;  // oldest-first: nothing further is at or below w
-    ++scanned;
-    rule.Add(it.key(), pk.epoch, /*tombstone=*/false);
-  }
-  rule.EndGroup();
-  for (const std::string& key : doomed) store_.Delete(key).ok();
-  ChargeCpu(host_->network()->costs().tuple_scan_us *
-            static_cast<double>(scanned + doomed.size()));
-  gc_.retired_pages += n_pages;
+void StorageService::StoreClaim(Epoch epoch, const EpochClaimRecord& rec) {
+  Writer w;
+  rec.EncodeTo(&w);
+  const std::string key = keys::EpochClaim(epoch);
+  store_.Put(key, w.data()).ok();
+  MarkGroup(key, epoch);
 }
 
 void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
@@ -850,10 +827,8 @@ void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
   // publisher retrying a publish that failed after its commit round must
   // not un-commit the epoch).
   auto grant = [&](bool committed, uint64_t stored_nonce) {
-    EpochClaimRecord rec{participant, claimant_node, committed, stored_nonce};
-    Writer w;
-    rec.EncodeTo(&w);
-    store_.Put(keys::EpochClaim(epoch), w.data()).ok();
+    StoreClaim(epoch,
+               EpochClaimRecord{participant, claimant_node, committed, stored_nonce});
     counters_.claims_granted += 1;
     // The freshness clock a fence races against: every grant (including the
     // owner's periodic refresh re-grants) resets the staleness TTL.
@@ -1049,9 +1024,7 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
   }
   burned.committed = false;
   burned.fenced = true;
-  Writer w;
-  burned.EncodeTo(&w);
-  store_.Put(keys::EpochClaim(epoch), w.data()).ok();
+  StoreClaim(epoch, burned);
   claim_touch_.erase(epoch);
   grant(burned);
 }
@@ -1087,9 +1060,7 @@ void StorageService::MergeFencedEpoch(Epoch epoch, ParticipantId participant,
   burned.committed = false;
   burned.fenced = true;
   burned.purged = true;
-  Writer w;
-  burned.EncodeTo(&w);
-  store_.Put(keys::EpochClaim(epoch), w.data()).ok();
+  StoreClaim(epoch, burned);
   PurgeEpochLocal(epoch);
 }
 
@@ -1176,11 +1147,12 @@ void StorageService::PurgeEpochLocal(Epoch epoch) {
 }
 
 void StorageService::HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id) {
-  uint64_t scan_id, n;
+  uint64_t scan_id, attempt, n;
   uint32_t requester;
   std::string rel;
   KeyFilter filter;
-  if (!r->GetU64(&scan_id).ok() || !r->GetU32(&requester).ok() ||
+  if (!r->GetU64(&scan_id).ok() || !r->GetVarint64(&attempt).ok() ||
+      !r->GetU32(&requester).ok() ||
       !r->GetString(&rel).ok() || !KeyFilter::DecodeFrom(r, &filter).ok() ||
       !r->GetVarint64(&n).ok()) {
     Respond(from, req_id, Status::Corruption("bad scan request"), {});
@@ -1234,6 +1206,7 @@ void StorageService::HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id
   for (auto& [owner, part] : by_owner) {
     Writer w;
     w.PutU64(scan_id);
+    w.PutVarint64(attempt);
     w.PutU32(requester);
     w.PutString(rel);
     w.PutVarint64(part.n);
@@ -1252,16 +1225,18 @@ void StorageService::HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id
 }
 
 void StorageService::HandleFetchTuples(net::NodeId /*from*/, Reader* r) {
-  uint64_t scan_id;
+  uint64_t scan_id, attempt;
   uint32_t requester;
   std::string rel;
   uint64_t n;
-  if (!r->GetU64(&scan_id).ok() || !r->GetU32(&requester).ok() ||
-      !r->GetString(&rel).ok() || !r->GetVarint64(&n).ok()) {
+  if (!r->GetU64(&scan_id).ok() || !r->GetVarint64(&attempt).ok() ||
+      !r->GetU32(&requester).ok() || !r->GetString(&rel).ok() ||
+      !r->GetVarint64(&n).ok()) {
     return;
   }
   Writer out;
   out.PutU64(scan_id);
+  out.PutVarint64(attempt);
   Writer rows;
   Writer missing;
   uint64_t rows_n = 0, missing_n = 0;
@@ -1297,19 +1272,24 @@ void StorageService::HandleFetchTuples(net::NodeId /*from*/, Reader* r) {
 }
 
 void StorageService::HandleTupleData(net::NodeId /*from*/, Reader* r) {
-  uint64_t scan_id;
+  uint64_t scan_id, attempt;
   std::string rel;
-  if (!r->GetU64(&scan_id).ok() || !r->GetString(&rel).ok()) return;
+  if (!r->GetU64(&scan_id).ok() || !r->GetVarint64(&attempt).ok() ||
+      !r->GetString(&rel).ok()) {
+    return;
+  }
   auto it = scans_.find(scan_id);
   if (it == scans_.end()) return;  // scan already failed/finished
-  ScanState& state = it->second;
+  auto at = it->second.attempts.find(attempt);
+  if (at == it->second.attempts.end()) return;  // its frame failed over
+  ScanState::Attempt& part = at->second;
 
   uint64_t rows_n;
   if (!r->GetVarint64(&rows_n).ok()) return;
   for (uint64_t i = 0; i < rows_n; ++i) {
     Tuple t;
     if (!DecodeTuple(r, &t).ok()) return;
-    state.rows.push_back(std::move(t));
+    part.rows.push_back(std::move(t));
   }
   uint64_t missing_n;
   if (!r->GetVarint64(&missing_n).ok()) return;
@@ -1317,11 +1297,9 @@ void StorageService::HandleTupleData(net::NodeId /*from*/, Reader* r) {
   for (auto& id : missing) {
     if (!TupleId::DecodeFrom(r, &id).ok()) return;
   }
-  state.data_parts_received += 1;
-  for (const auto& id : missing) {
-    state.lookups_outstanding += 1;
-    RecoverMissingTuple(scan_id, id, 0);
-  }
+  part.parts_received += 1;
+  part.lookups_outstanding += missing.size();
+  for (const auto& id : missing) RecoverMissingTuple(scan_id, attempt, id, 0);
   ScanCheckDone(scan_id);
 }
 
@@ -1431,19 +1409,25 @@ void StorageService::StartPageScans(uint64_t scan_id,
     frames[replicas[replica_idx]].push_back(desc);
   }
   for (auto& [to, frame] : frames) {
+    const uint64_t attempt = it->second.next_attempt++;
+    it->second.attempts.emplace(attempt, ScanState::Attempt{});
     Writer w;
     w.PutU64(scan_id);
+    w.PutVarint64(attempt);
     w.PutU32(node());
     w.PutString(state.relation);
     state.filter.EncodeTo(&w);
     w.PutVarint64(frame.size());
     for (const PageDescriptor& desc : frame) desc.EncodeTo(&w);
     Call(to, kScanPage, w.Release(),
-         [this, scan_id, frame = std::move(frame), replica_idx](
+         [this, scan_id, attempt, frame = std::move(frame), replica_idx](
              Status st, const std::string& reply) {
            auto sit = scans_.find(scan_id);
            if (sit == scans_.end()) return;
-           if (!st.ok()) {  // the whole frame fails over
+           if (!st.ok()) {
+             // The whole frame fails over. Data parts its index node may
+             // already have sent are dropped with the attempt.
+             sit->second.attempts.erase(attempt);
              StartPageScans(scan_id, frame, replica_idx + 1);
              return;
            }
@@ -1462,7 +1446,7 @@ void StorageService::StartPageScans(uint64_t scan_id,
              return;
            }
            sit->second.pages_answered += frame.size() - refused.size();
-           sit->second.data_parts_expected += parts;
+           sit->second.attempts[attempt].parts_expected = parts;
            if (!refused.empty()) StartPageScans(scan_id, refused, replica_idx + 1);
            ScanCheckDone(scan_id);
          });
@@ -1499,8 +1483,8 @@ void StorageService::FetchTuple(const std::string& rel, const TupleId& id,
                  });
 }
 
-void StorageService::RecoverMissingTuple(uint64_t scan_id, const TupleId& id,
-                                         size_t replica_idx) {
+void StorageService::RecoverMissingTuple(uint64_t scan_id, uint64_t attempt,
+                                         const TupleId& id, size_t replica_idx) {
   auto it = scans_.find(scan_id);
   if (it == scans_.end()) return;
   ScanState& state = it->second;
@@ -1520,11 +1504,14 @@ void StorageService::RecoverMissingTuple(uint64_t scan_id, const TupleId& id,
   w.PutString(state.relation);
   id.EncodeTo(&w);
   Call(replicas[replica_idx], kGetTuple, w.Release(),
-       [this, scan_id, id, replica_idx](Status st, const std::string& reply) {
+       [this, scan_id, attempt, id, replica_idx](Status st,
+                                                 const std::string& reply) {
          auto sit = scans_.find(scan_id);
          if (sit == scans_.end()) return;
+         auto at = sit->second.attempts.find(attempt);
+         if (at == sit->second.attempts.end()) return;  // attempt abandoned
          if (!st.ok()) {
-           RecoverMissingTuple(scan_id, id, replica_idx + 1);
+           RecoverMissingTuple(scan_id, attempt, id, replica_idx + 1);
            return;
          }
          Reader r(reply);
@@ -1533,8 +1520,8 @@ void StorageService::RecoverMissingTuple(uint64_t scan_id, const TupleId& id,
            ScanFail(scan_id, Status::Corruption("bad tuple reply"));
            return;
          }
-         sit->second.rows.push_back(std::move(t));
-         sit->second.lookups_outstanding -= 1;
+         at->second.rows.push_back(std::move(t));
+         at->second.lookups_outstanding -= 1;
          ScanCheckDone(scan_id);
        });
 }
@@ -1543,12 +1530,17 @@ void StorageService::ScanCheckDone(uint64_t scan_id) {
   auto it = scans_.find(scan_id);
   if (it == scans_.end()) return;
   ScanState& state = it->second;
-  if (state.failed) return;
+  // Every page answered means every live attempt was answered too.
   if (state.pages_answered < state.pages_total) return;
-  if (state.data_parts_received < state.data_parts_expected) return;
-  if (state.lookups_outstanding > 0) return;
+  for (const auto& [attempt, part] : state.attempts) {
+    if (part.parts_received < part.parts_expected) return;
+    if (part.lookups_outstanding > 0) return;
+  }
   RetrieveCallback cb = std::move(state.cb);
-  std::vector<Tuple> rows = std::move(state.rows);
+  std::vector<Tuple> rows;
+  for (auto& [attempt, part] : state.attempts) {
+    std::move(part.rows.begin(), part.rows.end(), std::back_inserter(rows));
+  }
   host_->network()->simulator()->Cancel(state.deadline_event);
   scans_.erase(it);
   cb(Status::OK(), std::move(rows));
@@ -1659,17 +1651,10 @@ void StorageService::RebalanceTo(const overlay::RoutingSnapshot& snap) {
 
 void StorageService::SetGcWatermark(Epoch w) {
   if (w < gc_watermark_ || w == 0) return;  // monotonic; 0 disables
-  gc_watermark_ = w;
+  AdvanceGc(w);
   // The direct entry point is synchronous: callers (tests, harness nudges)
-  // expect retirement to have happened on return. Any background sweep in
-  // flight is now redundant — cancel it rather than let its stale slices
-  // rescan what this full sweep just covered.
-  if (gc_sweep_.active) {
-    gc_sweep_.active = false;
-    gc_sweep_.rearm = false;
-    gc_sweep_.generation += 1;
-  }
-  RetireBelowWatermark();
+  // expect retirement to have happened on return.
+  while (!gc_due_.empty()) RetireChunk();
 }
 
 Epoch StorageService::EffectiveParticipantWatermark() const {
@@ -1705,19 +1690,17 @@ void StorageService::SetParticipantWatermark(ParticipantId p, Epoch mark) {
   Epoch effective = EffectiveParticipantWatermark();
   if (effective == 0 || effective < gc_watermark_) return;
   // Advertisements raise the floor immediately (watermark reads must see the
-  // new mark) but retire in the background: each publish used to pay a
-  // synchronous full-store sweep here, which is where the steady-state GC
-  // throughput tax came from.
-  gc_watermark_ = effective;
-  ScheduleGcSweep();
+  // new mark) but retire in bounded background tasks.
+  AdvanceGc(effective);
+  ScheduleRetirement();
 }
 
 void StorageService::VersionRule::Add(std::string_view key, Epoch epoch,
                                       bool tombstone) {
-  std::string_view group = keys::VersionGroupPrefix(key);
-  if (group != carry->group) {
+  std::string_view g = keys::VersionGroupPrefix(key);
+  if (g != group) {
     EndGroup();
-    carry->group.assign(group);
+    group.assign(g);
   }
   if (epoch > watermark) return;
   if (!fenced->empty() && fenced->count(epoch) > 0) {
@@ -1725,218 +1708,131 @@ void StorageService::VersionRule::Add(std::string_view key, Epoch epoch,
     ++*retired;
     return;
   }
-  if (!carry->best_key.empty()) {
-    doomed->push_back(carry->best_key);
-    ++*(carry->best_is_tombstone ? tombstones : retired);
+  if (!best_key.empty()) {
+    doomed->push_back(best_key);
+    ++*(best_is_tombstone ? tombstones : retired);
   }
-  carry->best_key.assign(key);
-  carry->best_is_tombstone = tombstone;
+  best_key.assign(key);
+  best_is_tombstone = tombstone;
 }
 
 void StorageService::VersionRule::EndGroup() {
-  if (carry->best_is_tombstone && !carry->best_key.empty()) {
-    doomed->push_back(carry->best_key);
+  if (best_is_tombstone && !best_key.empty()) {
+    doomed->push_back(best_key);
     ++*tombstones;
   }
-  carry->best_key.clear();
-  carry->best_is_tombstone = false;
-}
-
-void StorageService::RetireBelowWatermark() {
-  const Epoch w = gc_watermark_;
-  std::vector<std::string> doomed;
-  uint64_t scanned = 0;
-  uint64_t n_coords = 0, n_pages = 0, n_data = 0, n_tombs = 0, n_claims = 0;
-
-  // Coordinator records: retrieval is supported at epochs [w, current], so
-  // any coordinator record below the watermark is unreachable.
-  for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kCoordTag));
-       it.Valid(); it.Next()) {
-    ++scanned;
-    keys::ParsedCoordKey ck;
-    if (!keys::ParseCoord(it.key(), &ck)) continue;
-    if (ck.epoch < w) {
-      doomed.emplace_back(it.key());
-      ++n_coords;
-    }
-  }
-
-  // Epoch claims below the watermark: their epoch committed (or was
-  // abandoned and superseded) long ago; no publisher can contend for it.
-  for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kClaimTag));
-       it.Valid(); it.Next()) {
-    ++scanned;
-    Epoch e;
-    if (!keys::ParseClaim(it.key(), &e)) continue;
-    if (e < w) {
-      doomed.emplace_back(it.key());
-      ++n_claims;
-      claim_touch_.erase(e);  // the freshness clock follows the claim
-    }
-  }
-
-  // Page and data records share the layout <group-prefix><epoch:8B BE> and
-  // sort by group then epoch, so one ordered pass per family feeds the
-  // version rule each group's versions oldest-first.
-  auto sweep_versions = [&](char tag, uint64_t* retired, auto&& epoch_of) {
-    VersionCarry carry;
-    VersionRule rule{w, &fenced_epochs_, &carry, &doomed, retired, &n_tombs};
-    for (auto it = store_.SeekPrefix(std::string_view(&tag, 1)); it.Valid();
-         it.Next()) {
-      ++scanned;
-      Epoch epoch = 0;
-      if (!epoch_of(it.key(), &epoch)) continue;  // malformed: leave it alone
-      rule.Add(it.key(), epoch, tag == keys::kDataTag && it.value().empty());
-    }
-    rule.EndGroup();
-  };
-  sweep_versions(keys::kPageTag, &n_pages, [](std::string_view key, Epoch* e) {
-    keys::ParsedPageKey pk;
-    if (!keys::ParsePageRec(key, &pk)) return false;
-    *e = pk.epoch;
-    return true;
-  });
-  sweep_versions(keys::kDataTag, &n_data, [](std::string_view key, Epoch* e) {
-    keys::ParsedDataKey dk;
-    if (!keys::ParseData(key, &dk)) return false;
-    *e = dk.epoch;
-    return true;
-  });
-
-  for (const std::string& key : doomed) store_.Delete(key).ok();
-
-  ChargeCpu(host_->network()->costs().tuple_scan_us *
-            static_cast<double>(scanned + doomed.size()));
-  gc_.runs += 1;
-  gc_.retired_coords += n_coords;
-  gc_.retired_pages += n_pages;
-  gc_.retired_data += n_data;
-  gc_.retired_tombstones += n_tombs;
-  gc_.retired_claims += n_claims;
+  best_key.clear();
+  best_is_tombstone = false;
 }
 
 // --------------------------------------------------------------------------
-// Incremental background GC
+// Retirement index
 
-void StorageService::ScheduleGcSweep() {
-  if (gc_watermark_ == 0) return;
-  if (gc_sweep_.active) {
-    // A sweep is in flight: fold this advertisement into it. The running
-    // sweep keeps its pinned (older) watermark; on completion it restarts at
-    // the latest one, which also re-covers anything a stale replica push
-    // resurrected behind the cursor.
-    gc_sweep_.rearm = true;
-    gc_.coalesced += 1;
-    return;
-  }
-  gc_sweep_.active = true;
-  gc_sweep_.rearm = false;
-  gc_sweep_.generation += 1;
-  gc_sweep_.watermark = gc_watermark_;
-  gc_sweep_.phase = 0;
-  gc_sweep_.resume = keys::TagPrefix(keys::kCoordTag);
-  gc_sweep_.carry = VersionCarry{};
-  const uint64_t gen = gc_sweep_.generation;
-  RunAfter(gc_options_.slice_interval_us, [this, gen] { GcSliceTask(gen); });
+size_t StorageService::gc_tracked() const {
+  size_t n = gc_due_.size();
+  for (const auto& [at, groups] : gc_index_) n += groups.size();
+  return n;
 }
 
-void StorageService::GcSliceTask(uint64_t generation) {
-  if (!gc_sweep_.active || generation != gc_sweep_.generation) return;
-  if (!RunGcSlice(gc_options_.slice_records)) {
-    RunAfter(gc_options_.slice_interval_us,
-             [this, generation] { GcSliceTask(generation); });
-    return;
+bool StorageService::MarkGroup(std::string_view key, Epoch epoch) {
+  if (gc_watermark_ == 0) return false;  // GC off, or not re-armed since restart
+  const char tag = keys::Tag(key);
+  const Epoch at =
+      tag == keys::kCoordTag || tag == keys::kClaimTag ? epoch + 1 : epoch;
+  std::string_view group = keys::VersionGroupPrefix(key);
+  if (at <= gc_watermark_) {
+    gc_due_.emplace(group);
+  } else {
+    std::vector<std::string>& marks = gc_index_[at];
+    if (marks.empty() || marks.back() != group) marks.emplace_back(group);
   }
-  gc_sweep_.active = false;
-  gc_.runs += 1;
-  if (gc_sweep_.rearm) ScheduleGcSweep();
+  return true;
 }
 
-bool StorageService::RunGcSlice(uint64_t budget) {
-  static constexpr char kPhaseTags[4] = {keys::kCoordTag, keys::kClaimTag,
-                                         keys::kPageTag, keys::kDataTag};
-  const Epoch w = gc_sweep_.watermark;
+void StorageService::AdvanceGc(Epoch w) {
+  const bool arm = gc_watermark_ == 0;
+  gc_watermark_ = w;
+  if (arm) {
+    // Nothing was tracked while GC was off (the index is empty): one
+    // ordered pass per family retires what is garbage at `w` and marks
+    // every version above it.
+    uint64_t work = 0;
+    for (char tag : {keys::kCoordTag, keys::kClaimTag, keys::kPageTag, keys::kDataTag}) {
+      work += RetireUnder(keys::TagPrefix(tag), /*arming=*/true);
+    }
+    const auto& costs = host_->network()->costs();
+    ChargeCpu(costs.tuple_scan_us * static_cast<double>(work) +
+              costs.index_entry_us * static_cast<double>(gc_tracked()));
+    return;
+  }
+  while (!gc_index_.empty() && gc_index_.begin()->first <= w) {
+    for (std::string& group : gc_index_.begin()->second) {
+      gc_due_.insert(std::move(group));
+    }
+    gc_index_.erase(gc_index_.begin());
+  }
+}
+
+uint64_t StorageService::RetireUnder(std::string_view prefix, bool arming) {
+  const Epoch w = gc_watermark_;
+  const char tag = keys::Tag(prefix);
+  const bool below_only = tag == keys::kCoordTag || tag == keys::kClaimTag;
   std::vector<std::string> doomed;
-  uint64_t scanned = 0;
-  uint64_t n_coords = 0, n_pages = 0, n_data = 0, n_tombs = 0, n_claims = 0;
-
-  VersionRule rule{w, &fenced_epochs_, &gc_sweep_.carry, &doomed, nullptr,
-                   &n_tombs};
-
-  while (gc_sweep_.phase < 4 && scanned < budget) {
-    const int phase = gc_sweep_.phase;
-    const std::string prefix = keys::TagPrefix(kPhaseTags[phase]);
-    bool exhausted = true;
-    for (auto it = store_.Seek(gc_sweep_.resume);
-         localstore::LocalStore::WithinPrefix(it, prefix); it.Next()) {
-      if (scanned >= budget) {
-        // Stop BEFORE consuming this record; the next slice re-seeks to it.
-        // Records a push inserts behind the cursor are caught by the re-arm
-        // sweep, exactly like ones behind a completed synchronous sweep.
-        gc_sweep_.resume.assign(it.key());
-        exhausted = false;
-        break;
+  VersionRule rule{w, &fenced_epochs_, &doomed,
+                   tag == keys::kPageTag ? &gc_.retired_pages : &gc_.retired_data,
+                   &gc_.retired_tombstones};
+  uint64_t examined = 0;
+  for (auto it = store_.SeekPrefix(prefix); it.Valid(); it.Next()) {
+    ++examined;
+    Epoch e = 0;
+    if (!keys::ParseVersionEpoch(it.key(), &e)) continue;  // malformed: leave it
+    if (below_only) {
+      // Coordinator records and claims: retrieval is supported at epochs
+      // [w, current], and no publisher contends for an epoch below w.
+      if (e < w) {
+        doomed.emplace_back(it.key());
+        if (tag == keys::kClaimTag) {
+          gc_.retired_claims += 1;
+          claim_touch_.erase(e);  // the freshness clock follows the claim
+        } else {
+          gc_.retired_coords += 1;
+        }
+        continue;
       }
-      ++scanned;
-      std::string_view key = it.key();
-      switch (phase) {
-        case 0: {
-          keys::ParsedCoordKey ck;
-          if (keys::ParseCoord(key, &ck) && ck.epoch < w) {
-            doomed.emplace_back(key);
-            ++n_coords;
-          }
-          break;
-        }
-        case 1: {
-          Epoch e = 0;
-          if (keys::ParseClaim(key, &e) && e < w) {
-            doomed.emplace_back(key);
-            ++n_claims;
-            claim_touch_.erase(e);
-          }
-          break;
-        }
-        default: {
-          Epoch epoch = 0;
-          bool parsed = false;
-          if (phase == 2) {
-            keys::ParsedPageKey pk;
-            parsed = keys::ParsePageRec(key, &pk);
-            if (parsed) epoch = pk.epoch;
-          } else {
-            keys::ParsedDataKey dk;
-            parsed = keys::ParseData(key, &dk);
-            if (parsed) epoch = dk.epoch;
-          }
-          if (!parsed) break;  // malformed: leave it alone
-          rule.retired = phase == 2 ? &n_pages : &n_data;
-          // Only data-family tombstones (empty value) are reaped once
-          // trailing; pages have no tombstone notion.
-          rule.Add(key, epoch, phase == 3 && it.value().empty());
-          break;
-        }
-      }
+    } else {
+      rule.Add(it.key(), e, tag == keys::kDataTag && it.value().empty());
+      if (e <= w) continue;
     }
-    if (!exhausted) break;
-    if (phase >= 2) rule.EndGroup();
-    gc_sweep_.phase += 1;
-    gc_sweep_.carry.group.clear();
-    if (gc_sweep_.phase < 4) {
-      gc_sweep_.resume = keys::TagPrefix(kPhaseTags[gc_sweep_.phase]);
-    }
+    if (!arming) break;  // oldest-first: the rest of the group is above w
+    MarkGroup(it.key(), e);
   }
-
+  rule.EndGroup();
   for (const std::string& key : doomed) store_.Delete(key).ok();
-  ChargeCpu(host_->network()->costs().tuple_scan_us *
-            static_cast<double>(scanned + doomed.size()));
+  gc_.examined += examined;
+  return examined + doomed.size();
+}
+
+void StorageService::RetireChunk() {
+  uint64_t work = 0;
+  while (!gc_due_.empty() && work < kGcChunkRecords) {
+    auto group = gc_due_.extract(gc_due_.begin());
+    work += RetireUnder(group.value(), /*arming=*/false);
+  }
+  ChargeCpu(host_->network()->costs().tuple_scan_us * static_cast<double>(work));
   gc_.slices += 1;
-  gc_.retired_coords += n_coords;
-  gc_.retired_pages += n_pages;
-  gc_.retired_data += n_data;
-  gc_.retired_tombstones += n_tombs;
-  gc_.retired_claims += n_claims;
-  return gc_sweep_.phase >= 4;
+}
+
+void StorageService::ScheduleRetirement() {
+  if (gc_task_queued_ || gc_due_.empty()) return;
+  gc_task_queued_ = true;
+  // A node task: it queues behind the requests already in the inbox, so
+  // retirement yields to the request path between chunks.
+  RunAfter(0, [this, generation = gc_generation_] {
+    if (generation != gc_generation_) return;  // queued before a restart
+    gc_task_queued_ = false;
+    RetireChunk();
+    ScheduleRetirement();
+  });
 }
 
 void StorageService::OnRestart() {
@@ -1975,11 +1871,12 @@ void StorageService::OnRestart() {
   // Per-participant marks are transient too; re-learned from advertisements
   // and the replica-push piggyback table.
   participant_marks_.clear();
-  // Any background sweep died with the node (its slice tasks were dropped as
-  // node tasks); reset the cursor so the next advertisement starts fresh.
-  gc_sweep_.active = false;
-  gc_sweep_.rearm = false;
-  gc_sweep_.generation += 1;
+  // The retirement index is transient as well: the first watermark after
+  // the restart re-arms it with one whole-store pass.
+  gc_index_.clear();
+  gc_due_.clear();
+  gc_task_queued_ = false;
+  gc_generation_ += 1;
 }
 
 }  // namespace orchestra::storage

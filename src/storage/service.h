@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -115,6 +116,11 @@ constexpr sim::SimTime kEpochDiscoveryTimeoutUs = 5 * sim::kMicrosPerSec;
 /// Whole-scan deadline for Retrieve: bounds loss of the one-way data legs.
 constexpr sim::SimTime kScanDeadlineUs = 120 * sim::kMicrosPerSec;
 
+/// Records one GC retirement task examines or deletes before it yields the
+/// node (about 60 us of tuple_scan_us): a request queued behind retirement
+/// waits at most one such chunk.
+constexpr uint64_t kGcChunkRecords = 48;
+
 /// A participant's GC watermark advertisement stays live this long; after
 /// that the participant is considered departed and stops holding the
 /// effective (min-across-participants) watermark down.
@@ -132,22 +138,6 @@ struct KeyFilter {
   static Status DecodeFrom(Reader* r, KeyFilter* out);
 };
 
-/// Incremental background GC tuning. Watermark advertisements (the
-/// publisher's kSetWatermark one-ways, replica-push piggybacks) do not run a
-/// synchronous full-store sweep any more; they schedule a background sweep
-/// that retires records in bounded slices on the node's own timeline, so a
-/// burst of per-publish advertisements coalesces into one sweep instead of
-/// one full scan each. SetGcWatermark — the direct floor-raise entry point —
-/// stays synchronous for tests and harnesses.
-struct GcOptions {
-  /// Records examined (scanned plus deleted) per slice before yielding the
-  /// simulated CPU back to the request path.
-  uint64_t slice_records = 2048;
-  /// Delay before the first slice and between slices; the leading delay is
-  /// what coalesces an advertisement burst into a single sweep.
-  sim::SimTime slice_interval_us = 20 * sim::kMicrosPerMilli;
-};
-
 class StorageService : public net::Service {
  public:
   using RpcCallback = std::function<void(Status, const std::string& body)>;
@@ -155,8 +145,7 @@ class StorageService : public net::Service {
       std::function<void(Status, std::vector<Tuple>)>;
 
   StorageService(net::NodeHost* host, std::shared_ptr<SnapshotBoard> board,
-                 int replication, localstore::StoreOptions store_options = {},
-                 GcOptions gc_options = {});
+                 int replication, localstore::StoreOptions store_options = {});
 
   net::NodeId node() const { return host_->node(); }
   int replication() const { return replication_; }
@@ -254,11 +243,14 @@ class StorageService : public net::Service {
   /// older than their partition's newest version at-or-below w, and tuple
   /// versions older than their key's newest version at-or-below w (plus
   /// delete tombstones once nothing older survives). Supported retrieval
-  /// epochs become [w, current]. Re-advertising the current watermark re-runs
-  /// retirement, which clears records a stale replica push may have
-  /// resurrected. This is the direct floor-raise entry point (tests use it);
-  /// publisher advertisements instead go through SetParticipantWatermark so
-  /// one slow writer holds retirement back for everyone.
+  /// epochs become [w, current]. Only the version groups the retirement
+  /// index names as due are re-read (the first non-zero watermark arms the
+  /// index with one whole-store pass). Re-advertising the current watermark
+  /// retires records a stale replica push resurrected. This is the direct,
+  /// synchronous floor-raise entry point (tests use it); publisher
+  /// advertisements instead go through SetParticipantWatermark so one slow
+  /// writer holds retirement back for everyone, and retire in bounded
+  /// background tasks.
   void SetGcWatermark(Epoch w);
   Epoch gc_watermark() const { return gc_watermark_; }
 
@@ -294,10 +286,8 @@ class StorageService : public net::Service {
   size_t fenced_epoch_count() const { return fenced_epochs_.size(); }
 
   struct GcStats {
-    uint64_t runs = 0;                // completed sweeps (sync or background)
-    uint64_t slices = 0;              // background slices executed
-    uint64_t coalesced = 0;           // advertisements folded into a sweep
-                                      // already in flight (re-armed it)
+    uint64_t slices = 0;              // retirement tasks run (bounded chunks)
+    uint64_t examined = 0;            // records GC read (arming included)
     uint64_t retired_data = 0;        // superseded tuple versions
     uint64_t retired_pages = 0;       // superseded page versions
     uint64_t retired_coords = 0;      // coordinator records below watermark
@@ -305,8 +295,8 @@ class StorageService : public net::Service {
     uint64_t retired_claims = 0;      // epoch claims below watermark
   };
   const GcStats& gc_stats() const { return gc_; }
-  /// True while a background retirement sweep is in flight (or re-armed).
-  bool gc_sweep_active() const { return gc_sweep_.active; }
+  /// Version-group marks the retirement index holds (due or pending).
+  size_t gc_tracked() const;
 
   // --- net::Service ----------------------------------------------------------
   void OnMessage(net::NodeId from, uint16_t code, const std::string& payload) override;
@@ -364,11 +354,19 @@ class StorageService : public net::Service {
     RetrieveCallback cb;
     size_t pages_total = 0;
     size_t pages_answered = 0;  // pages some replica scanned
-    size_t data_parts_expected = 0;
-    size_t data_parts_received = 0;
-    size_t lookups_outstanding = 0;  // retries of individually missing tuples
-    std::vector<Tuple> rows;
-    bool failed = false;
+    // One kScanPage frame sent: the data parts its index node announced
+    // (kFetchTuples/kTupleData carry the attempt id) and the rows those
+    // parts and their missing-tuple lookups brought. A frame that fails is
+    // erased with its rows, so a late part of it is dropped, never counted
+    // toward its retry.
+    struct Attempt {
+      size_t parts_expected = 0;  // known once the frame is answered
+      size_t parts_received = 0;
+      size_t lookups_outstanding = 0;  // retries of individually missing tuples
+      std::vector<Tuple> rows;
+    };
+    std::map<uint64_t, Attempt> attempts;
+    uint64_t next_attempt = 0;
     // Whole-scan deadline: the data legs (kFetchTuples/kTupleData) are
     // one-way, so a lost message would otherwise leave the scan pending
     // forever. Resolves the scan with TimedOut; cancelled on completion.
@@ -381,17 +379,17 @@ class StorageService : public net::Service {
     uint64_t nonce = 0;
   };
 
-  // The one version-retention rule. Every retirement path — the synchronous
-  // sweep, the background slices, and write-time page retirement — feeds it
-  // one family's keys in store order, so each version group (the versions
-  // of one page partition or tuple key, keys::VersionGroupPrefix) arrives
-  // oldest-first. Within a group every version at or below the watermark
-  // that a newer non-fenced version at or below it supersedes is doomed, as
-  // is every version at a fenced epoch (purged garbage a stale push
-  // resurrected: as a survivor it would shadow the committed version). The
-  // survivor is what the kept coordinators reference; a data survivor that
-  // is a delete tombstone is reaped when its group ends, since it only
-  // existed to kill older versions.
+  // The one version-retention rule. Retirement feeds it one version
+  // group's keys (the versions of one page partition or tuple key,
+  // keys::VersionGroupPrefix) in store order, so they arrive oldest-first;
+  // the arming pass feeds it whole families the same way. Within a group
+  // every version at or below the watermark that a newer non-fenced version
+  // at or below it supersedes is doomed, as is every version at a fenced
+  // epoch (purged garbage a stale push resurrected: as a survivor it would
+  // shadow the committed version). The survivor is what the kept
+  // coordinators reference; a data survivor that is a delete tombstone is
+  // reaped when its group ends, since it only existed to kill older
+  // versions.
   //
   // Correctness precondition: every version at or below the watermark was
   // referenced by some committed coordinator when written. Torn publishes
@@ -399,18 +397,15 @@ class StorageService : public net::Service {
   // out only after every tuple/page write succeeded, and a failed publish
   // is retried with the SAME batch (idempotent overwrite) before publishing
   // different data.
-  struct VersionCarry {  // per-group state; persists across sweep slices
-    std::string group;
-    std::string best_key;  // newest non-fenced version <= watermark so far
-    bool best_is_tombstone = false;
-  };
   struct VersionRule {
     Epoch watermark;
     const std::map<Epoch, FencedInstance>* fenced;
-    VersionCarry* carry;
     std::vector<std::string>* doomed;
     uint64_t* retired;     // superseded versions (pages or tuples)
     uint64_t* tombstones;  // reaped trailing delete tombstones
+    std::string group{};
+    std::string best_key{};  // newest non-fenced version <= watermark so far
+    bool best_is_tombstone = false;
     void Add(std::string_view key, Epoch epoch, bool tombstone);
     void EndGroup();
   };
@@ -419,29 +414,38 @@ class StorageService : public net::Service {
   /// kPutPage: stores every entry of a page-write frame.
   void HandlePutPage(net::NodeId from, Reader* r, uint64_t req_id);
   /// Stores one page version (its full encoding), updates the inverse node,
-  /// and retires the page versions this write lets the watermark pass.
+  /// and marks the partition's version group. A write above the watermark
+  /// also makes the group due now, so a hot partition's superseded versions
+  /// retire at the pace of its writes; the new version itself — which may
+  /// yet turn out torn — is never the survivor that retires its base.
   void StorePage(const PageId& id, std::string_view page_bytes, uint64_t entries);
-  /// Write-time retirement: applies the version rule to one page partition's
-  /// group. Runs only when the version just written sits above the
-  /// watermark, so the new version itself — which may yet turn out torn —
-  /// is never the survivor that retires its base.
-  void RetirePageGroup(std::string_view page_key);
-  void RetireBelowWatermark();
-  /// Background GC: starts a sliced sweep at the current watermark, or
-  /// re-arms the one in flight (it finishes, then restarts at the latest
-  /// watermark — which also preserves the "re-advertising clears records a
-  /// stale replica push resurrected" property of the synchronous sweep).
-  void ScheduleGcSweep();
-  /// One scheduled slice; `generation` guards against slices queued by a
-  /// sweep that was since cancelled (restart, synchronous override).
-  void GcSliceTask(uint64_t generation);
-  /// Retires up to `budget` records' worth of sweep work; true when the
-  /// sweep has covered all four key families.
-  bool RunGcSlice(uint64_t budget);
+  /// Retirement index: records that `key`'s version group (a data or page
+  /// version written at `epoch`, or a coordinator record or claim at
+  /// `epoch`) may hold garbage once the watermark reaches the epoch it
+  /// names — `epoch` itself for versions, `epoch + 1` for coordinators and
+  /// claims, which retire below the watermark. Due at once when the
+  /// watermark is already there. False (nothing tracked) while GC is off.
+  bool MarkGroup(std::string_view key, Epoch epoch);
+  /// Raises the watermark to `w`: marks it reaches fall due. The first
+  /// raise (GC off until now, or since a restart) arms the index instead,
+  /// with the one whole-store pass.
+  void AdvanceGc(Epoch w);
+  /// Applies the version rule at the watermark to every version group under
+  /// `prefix` and deletes what it dooms. `prefix` is one due group, or a
+  /// whole family while arming, when every version above the watermark is
+  /// marked too. Returns the records examined plus deleted.
+  uint64_t RetireUnder(std::string_view prefix, bool arming);
+  /// Retires due groups until about kGcChunkRecords records were examined
+  /// or deleted (whole groups, so a task may run a little over).
+  void RetireChunk();
+  /// Queues one retirement task on this node while due groups remain.
+  void ScheduleRetirement();
   /// Records a participant's advertised mark (monotonic, TTL-pruned)
   /// WITHOUT applying the effective watermark — bulk callers (replica push)
-  /// merge everything first and sweep once.
+  /// merge everything first and advance once.
   void MergeParticipantMark(ParticipantId p, Epoch mark);
+  /// Writes the claim record for `epoch` and marks the claim family.
+  void StoreClaim(Epoch epoch, const EpochClaimRecord& rec);
   void HandleClaimEpoch(net::NodeId from, Reader* r, uint64_t req_id);
   void HandleFenceEpoch(net::NodeId from, Reader* r, uint64_t req_id);
   /// Records `epoch` as burned (fenced instance = participant/nonce), stores
@@ -464,7 +468,8 @@ class StorageService : public net::Service {
   /// per index node; refused or failed pages move on to the next replica.
   void StartPageScans(uint64_t scan_id, const std::vector<PageDescriptor>& descs,
                       size_t replica_idx);
-  void RecoverMissingTuple(uint64_t scan_id, const TupleId& id, size_t replica_idx);
+  void RecoverMissingTuple(uint64_t scan_id, uint64_t attempt, const TupleId& id,
+                           size_t replica_idx);
 
   void ChargeCpu(double micros) { host_->network()->ChargeCpu(node(), micros); }
 
@@ -481,20 +486,14 @@ class StorageService : public net::Service {
   Epoch max_epoch_seen_ = 0;
   Epoch gc_watermark_ = 0;
   GcStats gc_;
-  GcOptions gc_options_;
-  // Background sweep cursor. The watermark is pinned per sweep (retiring
-  // below an older mark is always safe); phases cover the four swept key
-  // families in tag order: 0 coordinators, 1 claims, 2 pages, 3 data.
-  struct GcSweep {
-    bool active = false;
-    bool rearm = false;
-    uint64_t generation = 0;
-    Epoch watermark = 0;
-    int phase = 0;
-    std::string resume;       // lower bound of the next slice's Seek
-    VersionCarry carry;       // version-group carry (phases 2 and 3)
-  };
-  GcSweep gc_sweep_;
+  // Retirement index (see MarkGroup): marks above the watermark by the
+  // epoch they fall due at, and the version groups due at the watermark
+  // (ordered, so retirement walks the store in key order). Both are empty
+  // while the watermark is 0.
+  std::map<Epoch, std::vector<std::string>> gc_index_;
+  std::set<std::string> gc_due_;
+  bool gc_task_queued_ = false;
+  uint64_t gc_generation_ = 0;  // restart guard for a queued task
   // Admission control: latest load hint per peer (timestamped so stale
   // reports age out) and the synthetic test component of our own hint.
   struct PeerLoad {

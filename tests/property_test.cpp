@@ -10,11 +10,15 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "deploy/deployment.h"
 #include "query/reference.h"
+#include "storage/keys.h"
 #include "storage/page.h"
+#include "storage/service.h"
 #include "sql/parser.h"
 #include "optimizer/optimizer.h"
 
@@ -301,6 +305,248 @@ TEST_P(PageDeltaProperty, DeltaMergeRoundTripsByteIdentically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageDeltaProperty, ::testing::Values(1, 2, 3, 4, 5));
+
+// ---------------------------------------------------------------------------
+// GC retirement index: after every watermark advance, a whole-store pass of
+// the version rule — the reference below, written independently of the
+// service — finds nothing left to retire, and the node still holds every
+// record the reference keeps. Single-node histories mix data, page,
+// coordinator and claim versions, tombstones, out-of-order epochs (replica
+// pushes, some below the watermark), fences and a restart.
+
+using storage::StorageService;
+namespace keys = storage::keys;
+
+std::set<std::string> VersionedKeys(StorageService& svc) {
+  std::set<std::string> out;
+  for (char tag : {keys::kCoordTag, keys::kClaimTag, keys::kPageTag, keys::kDataTag}) {
+    for (auto it = svc.store().SeekPrefix(keys::TagPrefix(tag)); it.Valid(); it.Next()) {
+      out.emplace(it.key());
+    }
+  }
+  return out;
+}
+
+// The keys a whole-store pass at watermark `w` retires: coordinator records
+// and claims below `w`; per data/page version group, versions at fenced
+// epochs, every non-fenced version at or below `w` but the newest, and that
+// newest one too when it is a delete tombstone.
+std::set<std::string> ReferenceRetires(StorageService& svc, Epoch w) {
+  std::set<std::string> doomed;
+  for (char tag : {keys::kCoordTag, keys::kClaimTag}) {
+    for (auto it = svc.store().SeekPrefix(keys::TagPrefix(tag)); it.Valid(); it.Next()) {
+      Epoch e = 0;
+      if (keys::ParseVersionEpoch(it.key(), &e) && e < w) doomed.emplace(it.key());
+    }
+  }
+  for (char tag : {keys::kPageTag, keys::kDataTag}) {
+    // group -> (key, tombstone) of its live versions at or below w, oldest first
+    std::map<std::string, std::vector<std::pair<std::string, bool>>> groups;
+    for (auto it = svc.store().SeekPrefix(keys::TagPrefix(tag)); it.Valid(); it.Next()) {
+      Epoch e = 0;
+      if (!keys::ParseVersionEpoch(it.key(), &e) || e > w) continue;
+      if (svc.IsEpochFenced(e)) {
+        doomed.emplace(it.key());
+        continue;
+      }
+      groups[std::string(keys::VersionGroupPrefix(it.key()))].emplace_back(
+          it.key(), tag == keys::kDataTag && it.value().empty());
+    }
+    for (const auto& [group, versions] : groups) {
+      for (size_t i = 0; i + 1 < versions.size(); ++i) doomed.insert(versions[i].first);
+      if (versions.back().second) doomed.insert(versions.back().first);
+    }
+  }
+  return doomed;
+}
+
+std::string PageBytes(Epoch e, uint32_t part) {
+  Page page;
+  page.desc.id = storage::PageId{"R", e, part};
+  page.desc.num_partitions = 4;
+  page.ids.push_back(storage::TupleId{"k", e});
+  page.hashes.push_back(storage::TupleKeyHash("k"));
+  return Encoded(page);
+}
+
+std::string CoordBytes(Epoch e) {
+  storage::CoordinatorRecord rec;
+  rec.relation = "R";
+  rec.epoch = e;
+  rec.participant = 1;
+  Writer w;
+  rec.EncodeTo(&w);
+  return w.Release();
+}
+
+class GcIndexProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(GcIndexProperty, RetiresExactlyWhatAWholeStorePassWould) {
+  uint64_t retired = 0, tombstones = 0, claims = 0, fences = 0;
+  for (uint64_t history = 0; history < 50; ++history) {
+    Rng rng(GetParam() * 1000 + history);
+    deploy::DeploymentOptions opts;
+    opts.num_nodes = 1;
+    opts.replication = 1;
+    deploy::Deployment dep(opts);
+    StorageService& svc = dep.storage(0);
+    RelationDef def;
+    def.name = "R";
+    def.schema = Schema({{"k", ValueType::kString}, {"v", ValueType::kString}}, 1);
+    def.num_partitions = 4;
+    svc.AddRelationLocal(def);
+
+    uint64_t req_id = 1;
+    auto request = [&](uint16_t code, const std::string& body) {
+      Writer w;
+      w.PutU64(req_id++);
+      w.PutRaw(body.data(), body.size());
+      svc.OnMessage(0, code, w.data());
+    };
+    auto data_key = [](const std::string& k, Epoch e) {
+      return keys::Data("R", storage::TupleKeyHash(k), k, e);
+    };
+    auto claim_bytes = [](bool committed) {
+      storage::EpochClaimRecord rec{1, 0, committed, 1};
+      Writer w;
+      rec.EncodeTo(&w);
+      return w.Release();
+    };
+
+    Epoch frontier = 1;
+    const int restart_at = static_cast<int>(rng.Uniform(80));
+    for (int op = 0; op < 80; ++op) {
+      const Epoch w = svc.gc_watermark();
+      // Mostly at the frontier; one write in four anywhere from below the
+      // watermark up, as a late replica push delivers it.
+      const Epoch lo = w > 2 ? w - 2 : 1;
+      const Epoch e = rng.OneIn(4) ? lo + rng.Uniform(frontier + 3 - lo)
+                                   : frontier + rng.Uniform(3);
+      const std::string key = StrCat({"k", std::to_string(rng.Uniform(6))});
+      const bool tombstone = rng.OneIn(5);
+      if (op == restart_at) svc.OnRestart();
+      switch (rng.Uniform(10)) {
+        case 0:
+        case 1: {
+          Writer b;
+          b.PutVarint64(1);
+          b.PutString("R");
+          b.PutVarint64(1);
+          std::string hash;
+          storage::TupleKeyHash(key).AppendBigEndian(&hash);
+          b.PutRaw(hash.data(), hash.size());
+          b.PutString(key);
+          b.PutVarint64(e);
+          b.PutString(tombstone ? "" : "v");
+          request(storage::kPutTuples, b.data());
+          break;
+        }
+        case 2: {
+          Writer b;
+          b.PutVarint64(1);
+          PageWrite::EncodeFull(PageBytes(e, static_cast<uint32_t>(rng.Uniform(4))), &b);
+          request(storage::kPutPage, b.data());
+          break;
+        }
+        case 3:
+          request(storage::kPutCoordinator, CoordBytes(e));
+          break;
+        case 4: {
+          Writer b;
+          b.PutVarint64(e);
+          b.PutVarint32(1);
+          b.PutVarint32(0);
+          b.PutVarint64(1);
+          request(rng.OneIn(2) ? storage::kClaimEpoch : storage::kConfirmEpoch, b.data());
+          break;
+        }
+        case 5: {  // replica push: a few records at scattered epochs
+          Writer b;
+          b.PutVarint64(0);  // no participant marks
+          b.PutVarint64(0);  // no fences
+          const uint64_t n = 1 + rng.Uniform(4);
+          b.PutVarint64(n);
+          for (uint64_t i = 0; i < n; ++i) {
+            const Epoch pe = lo + rng.Uniform(frontier + 3 - lo);
+            switch (rng.Uniform(4)) {
+              case 0:
+                b.PutString(data_key(StrCat({"k", std::to_string(rng.Uniform(6))}), pe));
+                b.PutString(rng.OneIn(5) ? "" : "v");
+                break;
+              case 1: {
+                const uint32_t part = static_cast<uint32_t>(rng.Uniform(4));
+                b.PutString(keys::PageRec("R", pe, part));
+                b.PutString(PageBytes(pe, part));
+                break;
+              }
+              case 2:
+                b.PutString(keys::Coord("R", pe));
+                b.PutString(CoordBytes(pe));
+                break;
+              default:
+                b.PutString(keys::EpochClaim(pe));
+                b.PutString(claim_bytes(rng.OneIn(2)));
+            }
+          }
+          request(storage::kReplicaPush, b.data());
+          break;
+        }
+        case 6: {
+          if (!rng.OneIn(3)) break;
+          Writer b;  // one-way: no request id
+          b.PutVarint64(e);
+          b.PutVarint32(2);
+          b.PutVarint64(5);
+          svc.OnMessage(0, storage::kPurgeEpoch, b.data());
+          break;
+        }
+        case 7:
+        case 8:
+          frontier += 1;
+          break;
+        default: {
+          // Advance (or re-advertise) the watermark, synchronously or as a
+          // participant advertisement that retires in background tasks.
+          const Epoch back = rng.Uniform(4);
+          const Epoch target = std::max<Epoch>({w, frontier > back ? frontier - back : 1, 1});
+          dep.RunFor(sim::kMicrosPerMilli);  // tasks queued by earlier writes
+          const std::set<std::string> before = VersionedKeys(svc);
+          const std::set<std::string> allowed = ReferenceRetires(svc, target);
+          if (rng.OneIn(2)) {
+            svc.SetGcWatermark(target);
+          } else {
+            svc.SetParticipantWatermark(1, target);
+            dep.RunFor(50 * sim::kMicrosPerMilli);
+          }
+          ASSERT_EQ(svc.gc_watermark(), target);
+          const std::set<std::string> left = ReferenceRetires(svc, target);
+          ASSERT_TRUE(left.empty()) << "history " << history << " op " << op << ": "
+                                    << left.size() << " retirable records left at "
+                                    << target;
+          const std::set<std::string> after = VersionedKeys(svc);
+          for (const std::string& k : before) {
+            if (allowed.count(k) == 0) {
+              ASSERT_TRUE(after.count(k) > 0)
+                  << "history " << history << " op " << op << ": kept record retired";
+            }
+          }
+        }
+      }
+    }
+    const auto& gs = svc.gc_stats();
+    retired += gs.retired_data + gs.retired_pages + gs.retired_coords;
+    tombstones += gs.retired_tombstones;
+    claims += gs.retired_claims;
+    fences += svc.fenced_epoch_count();
+  }
+  // The histories exercise every retirement family.
+  EXPECT_GT(retired, 0u);
+  EXPECT_GT(tombstones, 0u);
+  EXPECT_GT(claims, 0u);
+  EXPECT_GT(fences, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GcIndexProperty, ::testing::Values(1, 2, 3, 4));
 
 // ---------------------------------------------------------------------------
 // Determinism: the whole distributed pipeline is reproducible bit-for-bit.

@@ -738,6 +738,169 @@ TEST(StorageGc, ReplicaPushPiggybacksWatermark) {
   EXPECT_EQ(at->size(), 2u);
 }
 
+// ---------------------------------------------------------------------------
+// GC retirement index: an advance reads the garbage, not the store; nothing
+// is tracked while GC is off; a restart re-arms the index at the next
+// advertisement.
+
+// Versioned records a whole-store pass of the version rule at `w` would
+// still retire from `svc` (these tests fence no epoch): coordinator records
+// and claims below `w`, and per data/page version group every version at or
+// below `w` but the newest, plus that one when it is a delete tombstone.
+size_t RetirableLeft(StorageService& svc, Epoch w) {
+  size_t left = 0;
+  for (char tag : {keys::kCoordTag, keys::kClaimTag, keys::kPageTag, keys::kDataTag}) {
+    const bool below_only = tag == keys::kCoordTag || tag == keys::kClaimTag;
+    std::string group;
+    bool have_newest = false;  // `group` has a version <= w so far
+    bool newest_dead = false;  // ... and the newest one is a tombstone
+    for (auto it = svc.store().SeekPrefix(keys::TagPrefix(tag)); it.Valid(); it.Next()) {
+      Epoch e = 0;
+      if (!keys::ParseVersionEpoch(it.key(), &e)) continue;
+      if (below_only) {
+        left += e < w;
+        continue;
+      }
+      if (keys::VersionGroupPrefix(it.key()) != group) {
+        left += newest_dead;
+        group.assign(keys::VersionGroupPrefix(it.key()));
+        newest_dead = false;
+        have_newest = false;
+      }
+      if (e > w) continue;
+      left += have_newest;
+      have_newest = true;
+      newest_dead = tag == keys::kDataTag && it.value().empty();
+    }
+    left += newest_dead;
+  }
+  return left;
+}
+
+class GcIndexTest : public ::testing::Test {
+ protected:
+  GcIndexTest() {
+    deploy::DeploymentOptions opts;
+    opts.num_nodes = 1;
+    opts.replication = 1;
+    dep = std::make_unique<deploy::Deployment>(opts);
+    svc().AddRelationLocal(SimpleRelation("R", 4));
+  }
+  StorageService& svc() { return dep->storage(0); }
+  // Stores one version of each key at `epoch` through one kPutTuples frame.
+  void PutTuples(const std::vector<std::string>& keys_, Epoch epoch) {
+    Writer w;
+    w.PutU64(1);  // request id; the reply is not awaited
+    w.PutVarint64(1);
+    w.PutString("R");
+    w.PutVarint64(keys_.size());
+    for (const std::string& k : keys_) {
+      std::string hash;
+      TupleKeyHash(k).AppendBigEndian(&hash);
+      w.PutRaw(hash.data(), hash.size());
+      w.PutString(k);
+      w.PutVarint64(epoch);
+      w.PutString("v");
+    }
+    svc().OnMessage(0, kPutTuples, w.data());
+  }
+  std::unique_ptr<deploy::Deployment> dep;
+};
+
+std::vector<std::string> NumberedKeys(const std::string& prefix, int n) {
+  std::vector<std::string> out;
+  for (int i = 0; i < n; ++i) out.push_back(StrCat({prefix, std::to_string(i)}));
+  return out;
+}
+
+TEST_F(GcIndexTest, AnAdvanceExaminesTheGarbageNotTheStore) {
+  const std::vector<std::string> single = NumberedKeys("s", 10000);
+  const std::vector<std::string> hot = NumberedKeys("h", 100);
+  PutTuples(single, 1);
+  PutTuples(hot, 1);
+  svc().SetGcWatermark(1);  // arms the index: the one whole-store pass
+  EXPECT_GE(svc().gc_stats().examined, 10100u);
+  EXPECT_EQ(svc().gc_tracked(), 0u);
+
+  PutTuples(hot, 2);
+  EXPECT_EQ(svc().gc_tracked(), 100u);  // one mark per overwritten key
+  const StorageService::GcStats before = svc().gc_stats();
+  svc().SetGcWatermark(2);
+  const uint64_t examined = svc().gc_stats().examined - before.examined;
+  const uint64_t retired = svc().gc_stats().retired_data - before.retired_data;
+  const uint64_t groups_popped = 100;
+  EXPECT_EQ(retired, 100u);
+  EXPECT_LE(examined, 4 * (retired + groups_popped));
+  EXPECT_LT(examined, 1000u) << "the advance re-read the store";
+  EXPECT_EQ(svc().gc_tracked(), 0u);
+  EXPECT_EQ(CountData(svc(), "R").versions, 10100u);
+  EXPECT_EQ(RetirableLeft(svc(), 2), 0u);
+}
+
+TEST_F(StorageClusterTest, GcOffTracksNothing) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 4)).ok());
+  for (int i = 0; i < 50; ++i) {
+    UpdateBatch u;
+    u["R"] = {Update::Insert(Row(StrCat({"k", std::to_string(i % 7)}), "v"))};
+    ASSERT_TRUE(dep->Publish(0, std::move(u)).ok());
+  }
+  dep->RunFor(1 * sim::kMicrosPerSec);
+  for (size_t i = 0; i < dep->size(); ++i) {
+    const StorageService& svc = dep->storage(i);
+    EXPECT_EQ(svc.gc_watermark(), 0u) << "node " << i;
+    EXPECT_EQ(svc.gc_tracked(), 0u) << "node " << i;
+    EXPECT_EQ(svc.gc_stats().examined, 0u) << "node " << i;
+    EXPECT_EQ(svc.gc_stats().slices, 0u) << "node " << i;
+  }
+}
+
+TEST(StorageGc, RestartReArmsTheIndexAtTheNextAdvertisement) {
+  deploy::DeploymentOptions opts;
+  opts.num_nodes = 4;
+  opts.replication = 3;
+  opts.gc_keep_epochs = 2;
+  deploy::Deployment dep(opts);
+  ASSERT_TRUE(dep.CreateRelation(0, SimpleRelation("R", 2)).ok());
+  Epoch last = 0;
+  auto publish = [&](int i) {
+    UpdateBatch u;
+    u["R"] = {Update::Insert(Row("hot", StrCat({"v", std::to_string(i)}))),
+              Update::Insert(Row(StrCat({"k", std::to_string(i % 3)}), "v"))};
+    auto e = dep.Publish(0, std::move(u));
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    last = *e;
+  };
+  for (int i = 0; i < 6; ++i) publish(i);
+  dep.RunFor(1 * sim::kMicrosPerSec);
+  net::NodeId n = 1;
+  while (CountData(dep.storage(n), "R").versions == 0) ++n;  // a replica of R's rows
+  ASSERT_GT(dep.storage(n).gc_tracked(), 0u);
+
+  // While n is down, newer versions supersede the ones it holds.
+  dep.KillNode(n, /*update_routing=*/true, /*rebalance=*/true);
+  dep.RunFor(2 * sim::kMicrosPerSec);
+  for (int i = 6; i < 10; ++i) publish(i);
+  dep.RunFor(1 * sim::kMicrosPerSec);
+  const uint64_t retired_before = dep.storage(n).gc_stats().retired_data;
+  dep.RestartNode(n);
+  EXPECT_EQ(dep.storage(n).gc_watermark(), 0u);
+  EXPECT_EQ(dep.storage(n).gc_tracked(), 0u);
+
+  // The survivors' pushes bring the newer versions (stored while nothing is
+  // tracked) and the watermark; that first advertisement re-arms the index,
+  // and the arming pass retires what a whole-store pass would.
+  ASSERT_TRUE(dep.RunUntil([&dep] { return dep.PendingRpcCount() == 0; }));
+  dep.RunFor(500 * sim::kMicrosPerMilli);
+  const Epoch w = last - 2;
+  ASSERT_EQ(dep.storage(n).gc_watermark(), w);
+  EXPECT_GT(dep.storage(n).gc_tracked(), 0u);
+  EXPECT_GT(dep.storage(n).gc_stats().retired_data, retired_before);
+  EXPECT_EQ(RetirableLeft(dep.storage(n), w), 0u);
+  auto at = dep.Retrieve(n, "R", w);
+  ASSERT_TRUE(at.ok()) << at.status().ToString();
+  EXPECT_EQ(at->size(), 4u);  // hot + k0..k2
+}
+
 // Epoch discovery: publishing via a node whose gossip counter is stale must
 // not fork the epoch line — the publisher asks the cluster first (ROADMAP:
 // multi-node publishing without gossip convergence).
@@ -1583,6 +1746,55 @@ TEST_F(ScanFrameTest, DeadFirstReplicaFailsOverTheWholeFrame) {
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(AsBag(*rows), expect);
   EXPECT_EQ(Sum(&StorageService::Counters::scans_served) - served, Pages(e).size());
+  ExpectNoScansLeft();
+}
+
+// A frame that times out fails over to the next replica, but its index node
+// may already have sent the data legs. Parts of the abandoned attempt —
+// early ones already received and late ones still in flight — never count
+// toward the retry: the Retrieve returns each published row exactly once.
+TEST_F(ScanFrameTest, TimedOutFrameLatePartsNeverCountTowardItsRetry) {
+  Start(8, 1);
+  const Epoch e = PublishRows();
+  const std::vector<net::NodeId> index = PageReplicas(0);
+  const net::NodeId x = index[0], y = index[1];
+  net::NodeId req = 0;
+  while (req == x || req == y) ++req;
+  std::set<net::NodeId> owners;
+  for (int i = 0; i < 400; ++i) {
+    owners.insert(dep->snapshot().OwnerOf(
+        KeyHash(StrCat({"k", i < 10 ? "00" : i < 100 ? "0" : "", std::to_string(i)}))));
+  }
+  net::NodeId a = 0;
+  while (a == req || a == x || a == y || owners.count(a) == 0) ++a;
+  ASSERT_LT(a, dep->size());
+
+  // x's frame reply and its own data leg are lost, so the frame times out
+  // at the 60 s RPC deadline after every other owner but a — which hangs —
+  // sent its part for it.
+  net::Network& net = dep->network();
+  net.SetDropOverride(x, req, 1.0);
+  net.HangNode(a);
+  bool done = false;
+  Status st;
+  std::vector<Tuple> rows;
+  dep->storage(req).Retrieve("R", e, KeyFilter{}, [&](Status s, std::vector<Tuple> r) {
+    st = s;
+    rows = std::move(r);
+    done = true;
+  });
+  dep->RunFor(30 * sim::kMicrosPerSec);
+  ASSERT_FALSE(done);
+  net.ClearDropOverride(x, req);
+  // The retry on y collects every owner's part but a's. When a recovers it
+  // serves both fetches: the first attempt's part is late and must be
+  // dropped, the retry's completes the Retrieve.
+  dep->RunFor(35 * sim::kMicrosPerSec);
+  ASSERT_FALSE(done) << "resolved before a's part for the retry arrived";
+  net.UnhangNode(a);
+  ASSERT_TRUE(dep->RunUntil([&done] { return done; }));
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(AsBag(rows), expect);
   ExpectNoScansLeft();
 }
 
