@@ -79,6 +79,48 @@ bool SameCols(const std::vector<int32_t>& a, const std::vector<int32_t>& b) {
   return a == b;
 }
 
+/// The key-bytes range that sargable conjuncts `k op c` (or `c op k`) put on
+/// a relation's leading key column `k` (global id `col`, of type `type`):
+/// =, <=, >= and BETWEEN, with < and > taken inclusively. The kSelect above
+/// the scan stays, so the filter only has to keep every matching key. Key
+/// bytes open with the leading value's self-delimiting ordered encoding and
+/// every encoding opens with a type tag below 0xFF, so enc(c) + "\xff"
+/// bounds every key whose leading value is at most c, and "\xff" every key.
+storage::KeyFilter LeadingKeyFilter(const std::vector<Expr>& preds, int32_t col,
+                                    storage::ValueType type) {
+  storage::KeyFilter filter;
+  filter.hi.assign(1, '\xff');
+  for (const Expr& p : preds) {
+    if (p.kind() != Expr::Kind::kCompare) continue;
+    const Expr& lhs = p.args()[0];
+    const Expr& rhs = p.args()[1];
+    char op = p.op();
+    const Expr* lit = nullptr;
+    if (lhs.kind() == Expr::Kind::kColumn && lhs.column() == col &&
+        rhs.kind() == Expr::Kind::kLiteral) {
+      lit = &rhs;
+    } else if (rhs.kind() == Expr::Kind::kColumn && rhs.column() == col &&
+               lhs.kind() == Expr::Kind::kLiteral) {
+      lit = &lhs;  // c op k: mirror the comparison
+      op = op == '<' ? '>' : op == '>' ? '<' : op == 'L' ? 'G' : op == 'G' ? 'L' : op;
+    }
+    // A literal of another type encodes under another tag: no range.
+    if (lit == nullptr || lit->literal().type() != type) continue;
+    std::string enc;
+    lit->literal().EncodeOrdered(&enc);
+    if (op == '=' || op == 'G' || op == '>') {
+      filter.lo = std::max(filter.lo, enc);
+      filter.all = false;
+    }
+    if (op == '=' || op == 'L' || op == '<') {
+      enc.push_back('\xff');
+      filter.hi = std::min(filter.hi, enc);
+      filter.all = false;
+    }
+  }
+  return filter;
+}
+
 }  // namespace
 
 Result<PlannedQuery> Optimizer::Plan(const AnalyzedQuery& q) {
@@ -208,6 +250,10 @@ Result<PlannedQuery> Optimizer::Plan(const AnalyzedQuery& q) {
       scan.kind = covering ? OpKind::kCoveringScan : OpKind::kScan;
       scan.relation = tr.relation;
       scan.broadcast_local = broadcast;
+      if (!key_cols.empty()) {
+        scan.key_filter = LeadingKeyFilter(table_preds[t], key_cols[0],
+                                           tr.def.schema.column(0).type);
+      }
       int32_t cur = AppendOp(&sp, std::move(scan));
       // Scan output: full tuple (global cols of the table) — or key attrs
       // only for a covering scan.

@@ -89,6 +89,18 @@ std::vector<net::NodeId> RoutingSnapshot::ReplicasOf(const HashId& key,
   return replicas;
 }
 
+std::vector<net::NodeId> RoutingSnapshot::OwnersOfRange(const HashId& begin,
+                                                       const HashId& end) const {
+  // The owner of `begin`, plus every entry that starts inside the range.
+  std::vector<net::NodeId> owners{OwnerOf(begin)};
+  for (const RangeEntry& e : entries_) {
+    if (e.begin.InRange(begin, end)) owners.push_back(e.owner);
+  }
+  std::sort(owners.begin(), owners.end());
+  owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+  return owners;
+}
+
 std::vector<std::pair<HashId, HashId>> RoutingSnapshot::RangesOwnedBy(
     net::NodeId node) const {
   std::vector<std::pair<HashId, HashId>> out;

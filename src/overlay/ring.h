@@ -64,6 +64,10 @@ class RoutingSnapshot {
   /// deduplicated and starts with the owner.
   std::vector<net::NodeId> ReplicasOf(const HashId& key, int replication) const;
 
+  /// The distinct nodes owning any part of the clockwise range [begin, end),
+  /// ascending by id. begin == end is the full ring (HashId::InRange).
+  std::vector<net::NodeId> OwnersOfRange(const HashId& begin, const HashId& end) const;
+
   /// All ranges assigned to `node` (balanced: exactly one; pastry: one).
   std::vector<std::pair<HashId, HashId>> RangesOwnedBy(net::NodeId node) const;
 

@@ -12,6 +12,7 @@ std::string TupleBlock::Encode() const {
   body.PutVarint32(static_cast<uint32_t>(dest_op));
   body.PutVarint32(phase);
   body.PutVarint32(seq);
+  body.PutBool(eos);
   body.PutU32(sender);
   body.PutVarint64(rows.size());
   for (const BlockRow& r : rows) {
@@ -31,6 +32,7 @@ Status TupleBlock::Decode(std::string_view data, TupleBlock* out) {
   out->dest_op = static_cast<int32_t>(dest);
   ORC_RETURN_IF_ERROR(r.GetVarint32(&out->phase));
   ORC_RETURN_IF_ERROR(r.GetVarint32(&out->seq));
+  ORC_RETURN_IF_ERROR(r.GetBool(&out->eos));
   ORC_RETURN_IF_ERROR(r.GetU32(&out->sender));
   uint64_t n;
   ORC_RETURN_IF_ERROR(r.GetVarint64(&n));

@@ -3,7 +3,9 @@
 // (using lightweight Zip-based compression) and marshalling them in a format
 // that exploits their commonalities" (§V-A). Each row carries its provenance
 // node-set (the taint used for duplicate-free recovery, §V-D) and blocks
-// carry the execution phase.
+// carry the execution phase. A block stream (one sender, one Rehash or Ship
+// op, one receiver) ends with a block flagged `eos`; its `seq` is the number
+// of blocks in the stream, so the receiver can tell that none went missing.
 #ifndef ORCHESTRA_QUERY_BLOCK_H_
 #define ORCHESTRA_QUERY_BLOCK_H_
 
@@ -27,7 +29,11 @@ struct TupleBlock {
   uint64_t query_id = 0;
   int32_t dest_op = -1;   // the Rehash (or Ship) op this block belongs to
   uint32_t phase = 0;
-  uint32_t seq = 0;       // per (sender, dest_op, dest_node) sequence for acks
+  /// 1-based position in the (sender, dest_op, receiver) stream, counted
+  /// across phases: an `eos` block's seq is the stream's block count.
+  uint32_t seq = 0;
+  /// Last block of the sender's stream for `phase` (end of stream, §V-B).
+  bool eos = false;
   net::NodeId sender = net::kInvalidNode;
   std::vector<BlockRow> rows;
 

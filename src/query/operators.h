@@ -35,7 +35,7 @@ struct ExecContext {
   std::function<void(int32_t op_id, BlockRow row)> route;
   /// Ship output: deliver a row toward the query initiator.
   std::function<void(BlockRow row)> ship;
-  /// A Rehash op's local input is exhausted (flush + ack-gate + EOS markers).
+  /// A Rehash op's local input is exhausted (send the final blocks).
   std::function<void(int32_t op_id)> rehash_child_eos;
   /// The Ship op's local input is exhausted.
   std::function<void()> ship_child_eos;
@@ -57,7 +57,7 @@ class Operator {
   /// Delivers one row from child `child_idx` (0 for unary ops).
   virtual void Consume(size_t child_idx, BlockRow row) = 0;
   /// Child `child_idx`'s stream ended (for network children this fires when
-  /// EOS markers from all live senders arrived).
+  /// the final block of every live sender arrived, none missing).
   virtual void OnChildEos(size_t child_idx);
   /// Drops operator state tainted by cx->failed (§V-D stage 2).
   virtual void PurgeTainted() {}
@@ -87,8 +87,8 @@ class Operator {
 };
 
 /// Leaf scan (both variants). Rows are injected by the QueryService's scan
-/// driver; EOS is signalled when the scan barrier for the current phase is
-/// satisfied.
+/// driver; EOS is signalled once this node's part of the phase is scanned
+/// and every spill peer closed its fetch stream.
 class ScanOp : public Operator {
  public:
   using Operator::Operator;
@@ -157,8 +157,8 @@ class AggregateOp : public Operator {
 };
 
 /// Rehash: partitions its input by hash of `hash_cols` and sends rows to the
-/// owning nodes under the query's routing table. Output caching, ack
-/// tracking, and EOS markers live in the QueryService.
+/// owning nodes under the query's routing table. Output caching, batching,
+/// and end of stream live in the QueryService.
 class RehashOp : public Operator {
  public:
   using Operator::Operator;

@@ -22,6 +22,20 @@ DynamicBitset SingletonTaint(size_t bits, net::NodeId node) {
 }
 }  // namespace
 
+SpillPeers ScanSpillPeers(const std::vector<storage::PageDescriptor>& pages,
+                          const overlay::RoutingSnapshot& table, net::NodeId self) {
+  SpillPeers peers;
+  for (const storage::PageDescriptor& desc : pages) {
+    net::NodeId index_node = table.OwnerOf(desc.home());
+    for (net::NodeId owner : table.OwnersOfRange(desc.range_begin(), desc.range_end())) {
+      if (owner == index_node) continue;
+      if (index_node == self) peers.to.insert(owner);
+      if (owner == self) peers.from.insert(index_node);
+    }
+  }
+  return peers;
+}
+
 QueryService::QueryService(net::NodeHost* host, storage::StorageService* storage,
                            overlay::GossipService* gossip,
                            std::shared_ptr<storage::SnapshotBoard> board)
@@ -128,7 +142,7 @@ std::vector<net::NodeId> QueryService::LiveMembers(const Exec& ex) const {
   return live;
 }
 
-void QueryService::HandleShipBlock(net::NodeId /*from*/, const std::string& payload) {
+void QueryService::HandleShipBlock(net::NodeId from, const std::string& payload) {
   TupleBlock block;
   if (!TupleBlock::Decode(payload, &block).ok()) return;
   Root* root = FindRoot(block.query_id);
@@ -141,23 +155,14 @@ void QueryService::HandleShipBlock(net::NodeId /*from*/, const std::string& payl
     }
     root->results.push_back(std::move(row));
   }
-}
-
-void QueryService::HandleShipEos(net::NodeId from, Reader* r) {
-  uint64_t qid;
-  uint32_t phase;
-  if (!r->GetU64(&qid).ok() || !r->GetVarint32(&phase).ok()) return;
-  Root* root = FindRoot(qid);
-  if (root == nullptr) return;
-  uint32_t& cur = root->ship_eos_phase[from];
-  cur = std::max(cur, phase);
-  CheckRootDone(*root);
+  root->ship_in[from].Arrive(block.seq, block.eos, block.phase);
+  if (block.eos) CheckRootDone(*root);
 }
 
 void QueryService::CheckRootDone(Root& root) {
   for (net::NodeId m : LiveMembers(root)) {
-    auto it = root.ship_eos_phase.find(m);
-    if (it == root.ship_eos_phase.end() || it->second < root.phase) return;
+    auto it = root.ship_in.find(m);
+    if (it == root.ship_in.end() || !it->second.EndedAt(root.phase)) return;
   }
   FinishRoot(root, Status::OK());
 }
@@ -221,7 +226,7 @@ void QueryService::HandleSuspect(Root& root, net::NodeId suspect) {
       fresh.query_id = new_id;
       fresh.phase = 0;
       fresh.results.clear();
-      fresh.ship_eos_phase.clear();
+      fresh.ship_in.clear();
       // The old ping timer dies with the old query id; let DisseminatePlan
       // arm a fresh one for the new id.
       fresh.ping_timer_armed = false;
@@ -300,23 +305,11 @@ void QueryService::OnMessage(net::NodeId from, uint16_t code,
     case kDataBlock:
       HandleDataBlock(from, payload);
       return;
-    case kBlockAck:
-      HandleBlockAck(from, &r);
-      return;
-    case kEosMarker:
-      HandleEosMarker(from, &r);
-      return;
-    case kScanPartDone:
-      HandleScanPartDone(from, &r);
-      return;
     case kQueryFetch:
-      HandleQueryFetch(from, &r);
+      HandleQueryFetch(from, payload);
       return;
     case kShipBlock:
       HandleShipBlock(from, payload);
-      return;
-    case kShipEos:
-      HandleShipEos(from, &r);
       return;
     case kNodeSuspect: {
       uint64_t qid;
@@ -474,12 +467,18 @@ void QueryService::HandlePlan(net::NodeId /*from*/, const std::string& payload) 
   };
   ex->cx.ship = [this, raw](BlockRow row) { ShipRow(*raw, std::move(row)); };
   ex->cx.rehash_child_eos = [this, raw](int32_t op) {
+    // End of this node's stream to every live member: its last block
+    // carries the rest of that member's buffer, possibly nothing.
     RehashState& rs = raw->rehash[op];
-    rs.child_eos = true;
-    FlushAllRehash(*raw, op);
-    TryBroadcastRehashEos(*raw, op);
+    if (rs.eos_sent) return;
+    rs.eos_sent = true;
+    for (net::NodeId m : LiveMembers(*raw)) SendRehashBlock(*raw, op, m, /*eos=*/true);
   };
-  ex->cx.ship_child_eos = [this, raw]() { OnShipChildEos(*raw); };
+  ex->cx.ship_child_eos = [this, raw]() {
+    if (raw->ship_eos_sent) return;
+    raw->ship_eos_sent = true;
+    SendShipBlock(*raw, /*eos=*/true);
+  };
 
   // Instantiate operators and wire parents.
   ex->parents = ex->plan.ParentIds();
@@ -529,9 +528,22 @@ void QueryService::AssignScanPages(Exec& ex, int32_t scan_op,
   }
 }
 
+void QueryService::SetSpillPeers(Exec& ex, int32_t scan_op) {
+  // Only a partitioned full scan pushes tuples to other nodes: broadcast and
+  // replicate-everywhere scans read locally, covering scans read the index.
+  const PhysOp& op = ex.plan.op(scan_op);
+  auto def = storage_->Relation(op.relation);
+  auto binding = ex.bindings.find(scan_op);
+  bool spills = op.kind == OpKind::kScan && !op.broadcast_local &&
+                !(def.ok() && def->replicate_everywhere) && binding != ex.bindings.end();
+  ex.scans[scan_op].peers =
+      spills ? ScanSpillPeers(binding->second.pages, ex.table, node()) : SpillPeers{};
+}
+
 void QueryService::StartExec(Exec& ex) {
   for (int32_t scan_op : ex.plan.ScanOpIds()) {
     ScanState& ss = ex.scans[scan_op];
+    SetSpillPeers(ex, scan_op);
     AssignScanPages(ex, scan_op, ex.table, &ss.pending_pages);
     if (ss.pending_pages.empty()) {
       FinishScanIteration(ex, scan_op);
@@ -573,8 +585,7 @@ void QueryService::DriveScanChain(uint64_t query_id, int32_t scan_op) {
                                                             storage::Page p) {
       Exec* ex2 = FindExec(query_id);
       if (ex2 == nullptr) return;
-      ScanState& ss2 = ex2->scans[scan_op];
-      ss2.async_outstanding -= 1;
+      ex2->scans[scan_op].async_outstanding -= 1;
       if (st.ok()) ProcessPage(*ex2, scan_op, p, mode);
       CheckScanEos(*ex2, scan_op);
     });
@@ -626,15 +637,17 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& p
   if (mode == ScanMode::kFailedOwnersOnly && broadcast) return;
 
   // Split the page's ids into locally-owned and remote (Algorithm 1 line 8 /
-  // Table I distributed scan): remote tuples are pushed into the plan at
-  // their data storage node. Ownership routes on the page-carried hashes.
+  // Table I distributed scan): remote ids join their data node's fetch
+  // batch, to be pushed into the plan there. Ownership routes on the
+  // page-carried hashes.
+  ScanState& ss = ex.scans[scan_op];
   storage::Page local_part;
   local_part.desc = page.desc;
   auto take_local = [&local_part, &page](size_t i) {
     local_part.ids.push_back(page.ids[i]);
     local_part.hashes.push_back(page.hashes[i]);
   };
-  std::map<net::NodeId, std::vector<size_t>> remote;
+  std::string hb;  // reused 20-byte scratch: no per-id allocation
   for (size_t i = 0; i < page.ids.size(); ++i) {
     const storage::TupleId& id = page.ids[i];
     if (!op.key_filter.Matches(id.key_bytes)) continue;
@@ -651,18 +664,21 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& p
       if (owner == node()) take_local(i);
       continue;
     }
-    if (owner == node()) {
+    if (owner == node() || (owner < ex.cx.failed.size() && ex.cx.failed.Test(owner))) {
+      // Ours, or the data owner already failed under this table: read from
+      // the local replica or fetch from another replica.
       take_local(i);
-    } else if (owner < ex.cx.failed.size() && ex.cx.failed.Test(owner)) {
-      // Data owner already failed under this table: read from local replica
-      // or fetch from another replica.
-      take_local(i);
-    } else {
-      remote[owner].push_back(i);
+      continue;
     }
+    // hash(20B BE) + TupleId, so the data node reads without SHA-1.
+    ScanState::FetchBatch& batch = ss.batches[owner];
+    hb.clear();
+    page.hashes[i].AppendBigEndian(&hb);
+    batch.ids.PutRaw(hb.data(), hb.size());
+    id.EncodeTo(&batch.ids);
+    if (++batch.count >= ex.block_rows) SendFetch(ex, scan_op, owner, /*final=*/false);
   }
 
-  ScanState& ss = ex.scans[scan_op];
   std::vector<storage::TupleId> missing;
   if (!local_part.ids.empty()) {
     // (Partial rescans often have nothing local in a page; skipping the
@@ -681,32 +697,13 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& p
     storage_->FetchTuple(op.relation, id, [this, qid, scan_op](Status st, Tuple t) {
       Exec* ex2 = FindExec(qid);
       if (ex2 == nullptr) return;
-      ScanState& ss2 = ex2->scans[scan_op];
-      ss2.async_outstanding -= 1;
+      ex2->scans[scan_op].async_outstanding -= 1;
       if (st.ok()) {
         InjectScanRow(*ex2, scan_op, std::move(t),
                       SingletonTaint(ex2->cx.taint_bits, node()));
       }
       CheckScanEos(*ex2, scan_op);
     });
-  }
-
-  std::string hb;  // reused 20-byte scratch: no per-id allocation
-  for (auto& [owner, idxs] : remote) {
-    Writer w;
-    w.PutU64(ex.query_id);
-    w.PutVarint32(static_cast<uint32_t>(scan_op));
-    w.PutVarint32(ex.cx.phase);
-    w.PutString(op.relation);
-    w.PutVarint64(idxs.size());
-    for (size_t i : idxs) {
-      // hash(20B BE) + TupleId, so the data node reads without SHA-1.
-      hb.clear();
-      page.hashes[i].AppendBigEndian(&hb);
-      w.PutRaw(hb.data(), hb.size());
-      page.ids[i].EncodeTo(&w);
-    }
-    SendTo(owner, kQueryFetch, w.Release());
   }
 }
 
@@ -722,38 +719,40 @@ void QueryService::InjectScanRow(Exec& ex, int32_t scan_op, Tuple tuple,
   static_cast<ScanOp*>(ex.ops[scan_op].get())->Inject(std::move(row));
 }
 
-void QueryService::HandleQueryFetch(net::NodeId from, Reader* r) {
+void QueryService::SendFetch(Exec& ex, int32_t scan_op, net::NodeId peer, bool final) {
+  ScanState& ss = ex.scans[scan_op];
+  ScanState::FetchBatch batch = std::move(ss.batches[peer]);
+  ss.batches.erase(peer);
+  Writer w;
+  w.PutU64(ex.query_id);
+  w.PutVarint32(static_cast<uint32_t>(scan_op));
+  w.PutVarint32(ex.cx.phase);
+  w.PutVarint32(++ss.fetch_sent[peer]);
+  w.PutBool(final);
+  w.PutVarint64(batch.count);
+  w.PutRaw(batch.ids.data().data(), batch.ids.size());
+  SendTo(peer, kQueryFetch, w.Release());
+}
+
+void QueryService::HandleQueryFetch(net::NodeId from, const std::string& payload) {
+  Reader r(payload);
   uint64_t qid;
-  uint32_t scan_op, phase;
-  std::string rel;
+  uint32_t scan_op, phase, seq;
+  bool final;
   uint64_t n;
-  if (!r->GetU64(&qid).ok() || !r->GetVarint32(&scan_op).ok() ||
-      !r->GetVarint32(&phase).ok() || !r->GetString(&rel).ok() ||
-      !r->GetVarint64(&n).ok()) {
+  if (!r.GetU64(&qid).ok() || !r.GetVarint32(&scan_op).ok() ||
+      !r.GetVarint32(&phase).ok() || !r.GetVarint32(&seq).ok() ||
+      !r.GetBool(&final).ok() || !r.GetVarint64(&n).ok()) {
     return;
   }
   Exec* ex = FindExec(qid);
   if (ex == nullptr) {
-    // Cannot replay a partially-consumed reader; rebuild payload.
-    Writer w;
-    w.PutU64(qid);
-    w.PutVarint32(scan_op);
-    w.PutVarint32(phase);
-    w.PutString(rel);
-    w.PutVarint64(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      std::string_view hash_be20;
-      storage::TupleId id;
-      if (!r->GetRawView(&hash_be20, 20).ok() ||
-          !storage::TupleId::DecodeFrom(r, &id).ok()) {
-        return;
-      }
-      w.PutRaw(hash_be20.data(), hash_be20.size());
-      id.EncodeTo(&w);
-    }
-    BufferPending(qid, from, kQueryFetch, w.Release());
+    BufferPending(qid, from, kQueryFetch, payload);
     return;
   }
+  if (scan_op >= ex->plan.ops.size()) return;
+  const std::string& rel = ex->plan.op(static_cast<int32_t>(scan_op)).relation;
+  ScanState& ss = ex->scans[static_cast<int32_t>(scan_op)];
   const auto& costs = host_->network()->costs();
   DynamicBitset taint(ex->cx.taint_bits);
   if (ex->cx.taint_bits > 0) {
@@ -763,8 +762,8 @@ void QueryService::HandleQueryFetch(net::NodeId from, Reader* r) {
   for (uint64_t i = 0; i < n; ++i) {
     std::string_view hash_be20;
     storage::TupleId id;
-    if (!r->GetRawView(&hash_be20, 20).ok() ||
-        !storage::TupleId::DecodeFrom(r, &id).ok()) {
+    if (!r.GetRawView(&hash_be20, 20).ok() ||
+        !storage::TupleId::DecodeFrom(&r, &id).ok()) {
       return;
     }
     // The wire-carried hash keys the local read directly (no SHA-1).
@@ -779,13 +778,11 @@ void QueryService::HandleQueryFetch(net::NodeId from, Reader* r) {
     if (ok) {
       InjectScanRow(*ex, static_cast<int32_t>(scan_op), std::move(t), taint);
     } else {
-      ScanState& ss = ex->scans[static_cast<int32_t>(scan_op)];
       ss.async_outstanding += 1;
       storage_->FetchTuple(rel, id, [this, qid, scan_op, taint](Status st, Tuple t2) {
         Exec* ex2 = FindExec(qid);
         if (ex2 == nullptr) return;
-        ScanState& ss2 = ex2->scans[static_cast<int32_t>(scan_op)];
-        ss2.async_outstanding -= 1;
+        ex2->scans[static_cast<int32_t>(scan_op)].async_outstanding -= 1;
         if (st.ok()) {
           InjectScanRow(*ex2, static_cast<int32_t>(scan_op), std::move(t2), taint);
         }
@@ -793,54 +790,31 @@ void QueryService::HandleQueryFetch(net::NodeId from, Reader* r) {
       });
     }
   }
+  ss.fetch_in[from].Arrive(seq, final, phase);
+  if (final) CheckScanEos(*ex, static_cast<int32_t>(scan_op));
 }
 
 void QueryService::FinishScanIteration(Exec& ex, int32_t scan_op) {
-  ScanState& ss = ex.scans[scan_op];
-  ss.iteration_done = true;
-  if (!ss.part_done_broadcast) {
-    ss.part_done_broadcast = true;
-    Writer w;
-    w.PutU64(ex.query_id);
-    w.PutVarint32(static_cast<uint32_t>(scan_op));
-    w.PutVarint32(ex.cx.phase);
-    for (net::NodeId m : LiveMembers(ex)) SendTo(m, kScanPartDone, w.data());
-  }
+  ex.scans[scan_op].iteration_done = true;
   CheckScanEos(ex, scan_op);
-}
-
-void QueryService::HandleScanPartDone(net::NodeId from, Reader* r) {
-  uint64_t qid;
-  uint32_t scan_op, phase;
-  if (!r->GetU64(&qid).ok() || !r->GetVarint32(&scan_op).ok() ||
-      !r->GetVarint32(&phase).ok()) {
-    return;
-  }
-  Exec* ex = FindExec(qid);
-  if (ex == nullptr) {
-    Writer w;
-    w.PutU64(qid);
-    w.PutVarint32(scan_op);
-    w.PutVarint32(phase);
-    BufferPending(qid, from, kScanPartDone, w.Release());
-    return;
-  }
-  ScanState& ss = ex->scans[static_cast<int32_t>(scan_op)];
-  uint32_t& cur = ss.part_done_phase[from];
-  cur = std::max(cur, phase);
-  CheckScanEos(*ex, static_cast<int32_t>(scan_op));
 }
 
 void QueryService::CheckScanEos(Exec& ex, int32_t scan_op) {
   ScanState& ss = ex.scans[scan_op];
   if (!ss.iteration_done || ss.async_outstanding > 0) return;
+  // This node's part of the phase is scanned: close its fetch streams (a
+  // scan without spill peers sends nothing).
+  if (!ss.fetch_closed) {
+    ss.fetch_closed = true;
+    for (net::NodeId peer : ss.peers.to) SendFetch(ex, scan_op, peer, /*final=*/true);
+  }
   auto* scan = static_cast<ScanOp*>(ex.ops[scan_op].get());
   if (scan->eos_propagated()) return;
-  // Scan barrier: every live node has finished its part for this phase, so
-  // no more spillover fetches can arrive (FIFO delivery makes this safe).
-  for (net::NodeId m : LiveMembers(ex)) {
-    auto it = ss.part_done_phase.find(m);
-    if (it == ss.part_done_phase.end() || it->second < ex.cx.phase) return;
+  // Every index node that may push tuples here closed its fetch stream for
+  // this phase, so no more spillover can arrive (FIFO delivery).
+  for (net::NodeId peer : ss.peers.from) {
+    auto it = ss.fetch_in.find(peer);
+    if (it == ss.fetch_in.end() || !it->second.EndedAt(ex.cx.phase)) return;
   }
   scan->SignalEos();
 }
@@ -862,48 +836,27 @@ void QueryService::RouteRow(Exec& ex, int32_t rehash_op, BlockRow row,
   }
   auto& buf = rs.buffers[dest];
   buf.push_back(std::move(row));
-  if (buf.size() >= ex.block_rows) FlushRehash(ex, rehash_op, dest);
+  if (buf.size() >= ex.block_rows) SendRehashBlock(ex, rehash_op, dest, /*eos=*/false);
 }
 
-void QueryService::FlushRehash(Exec& ex, int32_t rehash_op, net::NodeId dest) {
+void QueryService::SendRehashBlock(Exec& ex, int32_t rehash_op, net::NodeId dest,
+                                   bool eos) {
   RehashState& rs = ex.rehash[rehash_op];
-  auto it = rs.buffers.find(dest);
-  if (it == rs.buffers.end() || it->second.empty()) return;
   TupleBlock block;
   block.query_id = ex.query_id;
   block.dest_op = rehash_op;
   block.phase = ex.cx.phase;
-  block.seq = rs.next_seq[dest]++;
+  block.seq = ++rs.sent[dest];
+  block.eos = eos;
   block.sender = node();
-  block.rows = std::move(it->second);
-  it->second.clear();
-  rs.unacked[dest].insert(block.seq);
+  auto it = rs.buffers.find(dest);
+  if (it != rs.buffers.end()) {
+    block.rows = std::move(it->second);
+    rs.buffers.erase(it);
+  }
   ChargeBlockCosts(block);
   counters_.blocks_sent += 1;
   SendTo(dest, kDataBlock, block.Encode());
-}
-
-void QueryService::FlushAllRehash(Exec& ex, int32_t rehash_op) {
-  RehashState& rs = ex.rehash[rehash_op];
-  std::vector<net::NodeId> dests;
-  for (auto& [dest, buf] : rs.buffers) {
-    if (!buf.empty()) dests.push_back(dest);
-  }
-  for (net::NodeId d : dests) FlushRehash(ex, rehash_op, d);
-}
-
-void QueryService::TryBroadcastRehashEos(Exec& ex, int32_t rehash_op) {
-  RehashState& rs = ex.rehash[rehash_op];
-  if (!rs.child_eos || rs.eos_broadcast) return;
-  for (const auto& [dest, unacked] : rs.unacked) {
-    if (!unacked.empty()) return;  // EOS only after all data acked (§V-B)
-  }
-  rs.eos_broadcast = true;
-  Writer w;
-  w.PutU64(ex.query_id);
-  w.PutVarint32(static_cast<uint32_t>(rehash_op));
-  w.PutVarint32(ex.cx.phase);
-  for (net::NodeId m : LiveMembers(ex)) SendTo(m, kEosMarker, w.data());
 }
 
 void QueryService::HandleDataBlock(net::NodeId from, const std::string& payload) {
@@ -943,55 +896,16 @@ void QueryService::HandleDataBlock(net::NodeId from, const std::string& payload)
     }
     parent->Consume(child_idx, std::move(row));
   }
-
-  Writer w;
-  w.PutU64(ex->query_id);
-  w.PutVarint32(static_cast<uint32_t>(block.dest_op));
-  w.PutVarint32(block.seq);
-  SendTo(from, kBlockAck, w.Release());
-}
-
-void QueryService::HandleBlockAck(net::NodeId from, Reader* r) {
-  uint64_t qid;
-  uint32_t op, seq;
-  if (!r->GetU64(&qid).ok() || !r->GetVarint32(&op).ok() || !r->GetVarint32(&seq).ok()) {
-    return;
-  }
-  Exec* ex = FindExec(qid);
-  if (ex == nullptr) return;
-  RehashState& rs = ex->rehash[static_cast<int32_t>(op)];
-  rs.unacked[from].erase(seq);
-  TryBroadcastRehashEos(*ex, static_cast<int32_t>(op));
-}
-
-void QueryService::HandleEosMarker(net::NodeId from, Reader* r) {
-  uint64_t qid;
-  uint32_t op, phase;
-  if (!r->GetU64(&qid).ok() || !r->GetVarint32(&op).ok() ||
-      !r->GetVarint32(&phase).ok()) {
-    return;
-  }
-  Exec* ex = FindExec(qid);
-  if (ex == nullptr) {
-    Writer w;
-    w.PutU64(qid);
-    w.PutVarint32(op);
-    w.PutVarint32(phase);
-    BufferPending(qid, from, kEosMarker, w.Release());
-    return;
-  }
-  auto& marks = ex->eos_from[static_cast<int32_t>(op)];
-  uint32_t& cur = marks[from];
-  cur = std::max(cur, phase);
-  CheckNetEos(*ex, static_cast<int32_t>(op));
+  ex->inflow[block.dest_op][from].Arrive(block.seq, block.eos, block.phase);
+  if (block.eos) CheckNetEos(*ex, block.dest_op);
 }
 
 void QueryService::CheckNetEos(Exec& ex, int32_t op) {
   if (ex.net_eos_delivered[op]) return;
-  const auto& marks = ex.eos_from[op];
+  const auto& inflow = ex.inflow[op];
   for (net::NodeId m : LiveMembers(ex)) {
-    auto it = marks.find(m);
-    if (it == marks.end() || it->second < ex.cx.phase) return;
+    auto it = inflow.find(m);
+    if (it == inflow.end() || !it->second.EndedAt(ex.cx.phase)) return;
   }
   ex.net_eos_delivered[op] = true;
   int32_t parent_id = ex.parents[op];
@@ -1006,32 +920,22 @@ void QueryService::CheckNetEos(Exec& ex, int32_t op) {
 void QueryService::ShipRow(Exec& ex, BlockRow row) {
   counters_.rows_shipped += 1;
   ex.ship_buffer.push_back(std::move(row));
-  if (ex.ship_buffer.size() >= ex.block_rows) FlushShip(ex);
+  if (ex.ship_buffer.size() >= ex.block_rows) SendShipBlock(ex, /*eos=*/false);
 }
 
-void QueryService::FlushShip(Exec& ex) {
-  if (ex.ship_buffer.empty()) return;
+void QueryService::SendShipBlock(Exec& ex, bool eos) {
   TupleBlock block;
   block.query_id = ex.query_id;
   block.dest_op = ex.plan.root;
   block.phase = ex.cx.phase;
-  block.seq = ex.ship_seq++;
+  block.seq = ++ex.ship_sent;
+  block.eos = eos;
   block.sender = node();
   block.rows = std::move(ex.ship_buffer);
   ex.ship_buffer.clear();
   ChargeBlockCosts(block);
   counters_.blocks_sent += 1;
   SendTo(ex.initiator, kShipBlock, block.Encode());
-}
-
-void QueryService::OnShipChildEos(Exec& ex) {
-  if (ex.ship_eos_sent) return;
-  ex.ship_eos_sent = true;
-  FlushShip(ex);
-  Writer w;
-  w.PutU64(ex.query_id);
-  w.PutVarint32(ex.cx.phase);
-  SendTo(ex.initiator, kShipEos, w.Release());
 }
 
 // ===========================================================================
@@ -1082,15 +986,10 @@ void QueryService::HandleRecover(net::NodeId from, const std::string& payload) {
                                }),
                 buf.end());
     }
-    for (net::NodeId f : failed) {
-      rs.unacked.erase(f);
-      // Unflushed rows routed to a failed node are superseded by the cache
-      // resend below (stage 4); flushing them later would wait forever for
-      // an ack from a dead node.
-      rs.buffers.erase(f);
-    }
-    rs.child_eos = false;
-    rs.eos_broadcast = false;
+    // Unflushed rows routed to a failed node are superseded by the cache
+    // resend below (stage 4).
+    for (net::NodeId f : failed) rs.buffers.erase(f);
+    rs.eos_sent = false;
   }
   ex->ship_buffer.erase(std::remove_if(ex->ship_buffer.begin(), ex->ship_buffer.end(),
                                        [ex](const BlockRow& b) {
@@ -1115,7 +1014,7 @@ void QueryService::HandleRecover(net::NodeId from, const std::string& payload) {
       rs.buffers[entry.dest].push_back(entry.row);
       counters_.cache_rows_resent += 1;
       if (rs.buffers[entry.dest].size() >= ex->block_rows) {
-        FlushRehash(*ex, op_id, entry.dest);
+        SendRehashBlock(*ex, op_id, entry.dest, /*eos=*/false);
       }
     }
   }
@@ -1124,8 +1023,12 @@ void QueryService::HandleRecover(net::NodeId from, const std::string& payload) {
   // failed nodes.
   for (int32_t scan_op : ex->plan.ScanOpIds()) {
     ScanState& ss = ex->scans[scan_op];
-    ss.part_done_broadcast = false;
     ss.iteration_done = false;
+    ss.fetch_closed = false;
+    // Batched ids for a failed data node are re-routed by the partial
+    // rescan of their (already scanned) pages.
+    for (net::NodeId f : failed) ss.batches.erase(f);
+    SetSpillPeers(*ex, scan_op);
 
     std::deque<storage::PageDescriptor> prev_pages, new_pages;
     AssignScanPages(*ex, scan_op, prev_table, &prev_pages);
@@ -1157,8 +1060,8 @@ void QueryService::HandleRecover(net::NodeId from, const std::string& payload) {
     }
   }
 
-  // EOS markers and part-done messages for the new phase may have overtaken
-  // this recovery broadcast (they travel on different connections); re-check
+  // Final blocks and fetch frames for the new phase may have overtaken this
+  // recovery broadcast (they travel on different connections); re-check
   // every condition that would otherwise only fire on message arrival.
   for (const PhysOp& def : ex->plan.ops) {
     if (def.kind == OpKind::kRehash) CheckNetEos(*ex, def.id);
@@ -1185,6 +1088,12 @@ void QueryService::MarkAborted(uint64_t query_id) {
 }
 
 std::string QueryService::DebugString() const {
+  auto print_in = [](std::string* out, const std::map<net::NodeId, Inflow>& in) {
+    for (const auto& [n, f] : in) {
+      StrAppend(out, {"n", std::to_string(n), ":", std::to_string(f.received),
+                      f.ended ? StrCat({"/eos@", std::to_string(f.ended_phase)}) : "", " "});
+    }
+  };
   std::string out;
   StrAppend(&out, {"QueryService@n", std::to_string(host_->node()), "\n"});
   for (const auto& [qid, ex] : execs_) {
@@ -1196,39 +1105,23 @@ std::string QueryService::DebugString() const {
                     " async=", std::to_string(ss.async_outstanding),
                     " pend=", std::to_string(ss.pending_pages.size()),
                     " part=", std::to_string(ss.pending_partial.size()),
-                    " eos=", std::to_string(ex->ops[op]->eos_propagated()), " done_from="});
-      for (const auto& [n, ph] : ss.part_done_phase) {
-        StrAppend(&out, {"n", std::to_string(n), ":", std::to_string(ph), " "});
-      }
+                    " eos=", std::to_string(ex->ops[op]->eos_propagated()),
+                    " closed=", std::to_string(ss.fetch_closed), " fetch_in="});
+      print_in(&out, ss.fetch_in);
       out.append("\n");
     }
     for (const auto& [op, rs] : ex->rehash) {
       StrAppend(&out, {"  rehash#", std::to_string(op),
-                    " child_eos=", std::to_string(rs.child_eos),
-                    " bcast=", std::to_string(rs.eos_broadcast), " unacked="});
-      for (const auto& [d, u] : rs.unacked) {
-        if (!u.empty()) {
-          StrAppend(&out, {"n", std::to_string(d), ":{"});
-          for (uint32_t q : u) StrAppend(&out, {std::to_string(q), ","});
-          out.append("} ");
-        }
-      }
-      out.append(" marks=");
-      auto it = ex->eos_from.find(op);
-      if (it != ex->eos_from.end()) {
-        for (const auto& [n, ph] : it->second) {
-          StrAppend(&out, {"n", std::to_string(n), ":", std::to_string(ph), " "});
-        }
-      }
+                    " eos_sent=", std::to_string(rs.eos_sent), " in="});
+      auto it = ex->inflow.find(op);
+      if (it != ex->inflow.end()) print_in(&out, it->second);
       out.append("\n");
     }
   }
   for (const auto& [qid, root] : roots_) {
     StrAppend(&out, {" root q", std::to_string(qid), " phase=", std::to_string(root->phase),
-                  " ship_eos="});
-    for (const auto& [n, ph] : root->ship_eos_phase) {
-      StrAppend(&out, {"n", std::to_string(n), ":", std::to_string(ph), " "});
-    }
+                  " ship_in="});
+    print_in(&out, root->ship_in);
     out.append("\n");
   }
   return out;

@@ -5,10 +5,11 @@
 //  * drives leaf scans over the versioned pages it owns (distributed scan
 //    spillover pushes remote tuples into the plan at their data node),
 //  * routes Rehash output by hash under the query's routing table, batches
-//    and compresses blocks, acks received blocks,
-//  * runs the end-of-stream protocol: scans use a part-done barrier; a
-//    Rehash broadcasts EOS markers only after its input ended AND all its
-//    blocks were acked (§V-B),
+//    and compresses blocks,
+//  * runs the end-of-stream protocol (§V-B) without control messages: the
+//    last block of each stream carries EOS and the stream's block count;
+//    a scan waits only for the final spillover-fetch frames of its spill
+//    peers (docs/ARCHITECTURE.md "Query dataflow"),
 //  * on a recovery message: purges tainted state, re-arms EOS for the new
 //    phase, restarts leaf scans for inherited ranges, and re-sends cached
 //    output that had been destined to failed nodes (§V-D stages 2-4).
@@ -22,6 +23,7 @@
 #ifndef ORCHESTRA_QUERY_SERVICE_H_
 #define ORCHESTRA_QUERY_SERVICE_H_
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
@@ -36,6 +38,18 @@
 #include "storage/service.h"
 
 namespace orchestra::query {
+
+/// The spill peers of one node for a partitioned scan (not broadcast, not
+/// over a replicate-everywhere relation) of `pages` under `table`: `to` are
+/// the data owners of the pages `self` indexes, `from` the index nodes of
+/// the pages whose range `self` owns part of; neither holds `self`. Every
+/// node derives them by the same rule, so `y` is in ScanSpillPeers(x).to
+/// exactly when `x` is in ScanSpillPeers(y).from.
+struct SpillPeers {
+  std::set<net::NodeId> to, from;
+};
+SpillPeers ScanSpillPeers(const std::vector<storage::PageDescriptor>& pages,
+                          const overlay::RoutingSnapshot& table, net::NodeId self);
 
 struct QueryOptions {
   enum class RecoveryMode : uint8_t { kNone = 0, kRestart = 1, kIncremental = 2 };
@@ -112,15 +126,12 @@ class QueryService : public net::Service {
   }
 
  private:
+  // Codes 3, 4, 5 and 8 are retired (docs/WIRE_FORMATS.md).
   enum QueryCode : uint16_t {
     kPlan = 1,
     kDataBlock = 2,
-    kBlockAck = 3,
-    kEosMarker = 4,
-    kScanPartDone = 5,
     kQueryFetch = 6,
     kShipBlock = 7,
-    kShipEos = 8,
     kNodeSuspect = 9,
     kRecover = 10,
     kAbort = 11,
@@ -128,18 +139,36 @@ class QueryService : public net::Service {
     kPong = 13,
   };
 
+  // --- Stream state (both roles) --------------------------------------------
+  /// Receive side of one sender's stream: blocks into a Rehash, Ship blocks
+  /// at the initiator, or fetch frames into a scan. Streams are FIFO, so a
+  /// final frame whose seq equals the frames received so far proves that
+  /// none went missing; a gap leaves the stream open for good.
+  struct Inflow {
+    uint32_t received = 0;
+    bool ended = false;
+    uint32_t ended_phase = 0;
+
+    void Arrive(uint32_t seq, bool final, uint32_t phase) {
+      received += 1;
+      if (final && received == seq) {
+        ended = true;
+        ended_phase = std::max(ended_phase, phase);
+      }
+    }
+    bool EndedAt(uint32_t phase) const { return ended && ended_phase >= phase; }
+  };
+
   // --- Worker-side state -----------------------------------------------------
   struct RehashState {
     std::map<net::NodeId, std::vector<BlockRow>> buffers;
-    std::map<net::NodeId, uint32_t> next_seq;
-    std::map<net::NodeId, std::set<uint32_t>> unacked;
+    std::map<net::NodeId, uint32_t> sent;  // blocks per destination, all phases
     struct CacheEntry {
       BlockRow row;
       net::NodeId dest;
     };
     std::vector<CacheEntry> cache;  // output cache for recovery resend (§V-D)
-    bool child_eos = false;
-    bool eos_broadcast = false;  // for the current phase
+    bool eos_sent = false;          // final blocks sent for the current phase
   };
 
   struct ScanState {
@@ -148,10 +177,18 @@ class QueryService : public net::Service {
     /// their data-storage node failed (partial rescan, §V-D stage 3).
     std::deque<storage::PageDescriptor> pending_partial;
     bool iteration_done = false;
-    bool part_done_broadcast = false;
     size_t async_outstanding = 0;
-    std::map<net::NodeId, uint32_t> part_done_phase;  // scan barrier
     bool chain_running = false;
+    /// Spillover ids (hash + TupleId) batched per data owner (kQueryFetch).
+    struct FetchBatch {
+      Writer ids;
+      uint64_t count = 0;
+    };
+    std::map<net::NodeId, FetchBatch> batches;
+    SpillPeers peers;                              // for the current phase
+    std::map<net::NodeId, uint32_t> fetch_sent;    // frames per peer, all phases
+    std::map<net::NodeId, Inflow> fetch_in;        // frames from each peer
+    bool fetch_closed = false;  // final frames sent for the current phase
   };
 
   struct Exec {
@@ -170,10 +207,10 @@ class QueryService : public net::Service {
     std::map<int32_t, storage::CoordinatorRecord> bindings;
     std::map<int32_t, RehashState> rehash;
     std::map<int32_t, ScanState> scans;
-    std::map<int32_t, std::map<net::NodeId, uint32_t>> eos_from;  // rehash EOS
+    std::map<int32_t, std::map<net::NodeId, Inflow>> inflow;  // per rehash op
     std::map<int32_t, bool> net_eos_delivered;  // per rehash op, this phase
     std::vector<BlockRow> ship_buffer;
-    uint32_t ship_seq = 0;
+    uint32_t ship_sent = 0;  // Ship blocks, all phases
     bool ship_eos_sent = false;
   };
 
@@ -190,7 +227,7 @@ class QueryService : public net::Service {
     DynamicBitset failed_bits;
     std::map<int32_t, storage::CoordinatorRecord> bindings;
     std::vector<BlockRow> results;
-    std::map<net::NodeId, uint32_t> ship_eos_phase;
+    std::map<net::NodeId, Inflow> ship_in;
     Callback cb;
     sim::SimTime started_at = 0;
     uint32_t recoveries = 0;
@@ -204,10 +241,7 @@ class QueryService : public net::Service {
   // Worker paths.
   void HandlePlan(net::NodeId from, const std::string& payload);
   void HandleDataBlock(net::NodeId from, const std::string& payload);
-  void HandleBlockAck(net::NodeId from, Reader* r);
-  void HandleEosMarker(net::NodeId from, Reader* r);
-  void HandleScanPartDone(net::NodeId from, Reader* r);
-  void HandleQueryFetch(net::NodeId from, Reader* r);
+  void HandleQueryFetch(net::NodeId from, const std::string& payload);
   void HandleRecover(net::NodeId from, const std::string& payload);
   void HandleAbort(Reader* r);
 
@@ -215,27 +249,26 @@ class QueryService : public net::Service {
   void AssignScanPages(Exec& ex, int32_t scan_op,
                        const overlay::RoutingSnapshot& table,
                        std::deque<storage::PageDescriptor>* out) const;
+  /// Recomputes the scan's spill peers under ex.table (once per phase).
+  void SetSpillPeers(Exec& ex, int32_t scan_op);
   void DriveScanChain(uint64_t query_id, int32_t scan_op);
   enum class ScanMode { kFull, kFailedOwnersOnly };
   void ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& page,
                    ScanMode mode);
   void InjectScanRow(Exec& ex, int32_t scan_op, Tuple tuple, DynamicBitset taint);
+  void SendFetch(Exec& ex, int32_t scan_op, net::NodeId peer, bool final);
   void FinishScanIteration(Exec& ex, int32_t scan_op);
   void CheckScanEos(Exec& ex, int32_t scan_op);
   void RouteRow(Exec& ex, int32_t rehash_op, BlockRow row, bool count_cache);
-  void FlushRehash(Exec& ex, int32_t rehash_op, net::NodeId dest);
-  void FlushAllRehash(Exec& ex, int32_t rehash_op);
-  void TryBroadcastRehashEos(Exec& ex, int32_t rehash_op);
+  void SendRehashBlock(Exec& ex, int32_t rehash_op, net::NodeId dest, bool eos);
   void CheckNetEos(Exec& ex, int32_t op);
   void ShipRow(Exec& ex, BlockRow row);
-  void FlushShip(Exec& ex);
-  void OnShipChildEos(Exec& ex);
+  void SendShipBlock(Exec& ex, bool eos);
   std::vector<net::NodeId> LiveMembers(const Exec& ex) const;
 
   // Initiator paths.
   void DisseminatePlan(Root& root);
   void HandleShipBlock(net::NodeId from, const std::string& payload);
-  void HandleShipEos(net::NodeId from, Reader* r);
   void HandleSuspect(Root& root, net::NodeId node);
   void CheckRootDone(Root& root);
   void FinishRoot(Root& root, Status st);

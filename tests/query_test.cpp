@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 
 #include "common/rng.h"
 #include "common/strings.h"
 #include "deploy/deployment.h"
 #include "query/expr.h"
+#include "query/block.h"
 #include "query/plan.h"
 #include "query/reference.h"
 #include "query/service.h"
@@ -481,6 +484,326 @@ TEST_F(QueryClusterTest, FinalStageSortAndLimit) {
   ASSERT_EQ(result->rows.size(), 2u);
   EXPECT_EQ(result->rows[0][0], S("a"));
   EXPECT_EQ(result->rows[1][0], S("b"));
+}
+
+// ---------------------------------------------------------------------------
+// Dataflow protocol (docs/WIRE_FORMATS.md "Query protocol"): end of stream
+// rides the last block of each stream, and scans exchange fetch frames only
+// between spill peers.
+
+// Query-service wire codes. 3, 4, 5 and 8 are retired (block acks, EOS
+// markers, the scan part-done barrier and ship EOS).
+constexpr uint16_t kPlanCode = 1, kDataBlockCode = 2, kQueryFetchCode = 6,
+                   kShipBlockCode = 7, kAbortCode = 11;
+
+// Sits in front of one node's QueryService and records every query message
+// the node receives before handing it on.
+class QueryWireSpy : public net::Service {
+ public:
+  struct Seen {
+    net::NodeId from;
+    uint16_t code;
+    bool eos;  // TupleBlock frames only
+  };
+
+  QueryWireSpy(deploy::Deployment* dep, size_t node) : dep_(dep), node_(node) {
+    dep->host(node).Register(net::ServiceId::kQuery, this);
+  }
+  void OnMessage(net::NodeId from, uint16_t code, const std::string& payload) override {
+    TupleBlock block;
+    bool eos = (code == kDataBlockCode || code == kShipBlockCode) &&
+               TupleBlock::Decode(payload, &block).ok() && block.eos;
+    seen.push_back(Seen{from, code, eos});
+    dep_->query(node_).OnMessage(from, code, payload);
+  }
+  void OnConnectionDrop(net::NodeId peer) override {
+    dep_->query(node_).OnConnectionDrop(peer);
+  }
+  void OnSelfFailed() override { dep_->query(node_).OnSelfFailed(); }
+
+  std::vector<Seen> seen;
+
+ private:
+  deploy::Deployment* dep_;
+  size_t node_;
+};
+
+class QueryProtocolTest : public QueryClusterTest {
+ protected:
+  void AttachSpies() {
+    for (size_t i = 0; i < dep->size(); ++i) {
+      spies.push_back(std::make_unique<QueryWireSpy>(dep.get(), i));
+    }
+  }
+  size_t Count(const std::function<bool(const QueryWireSpy::Seen&)>& pred) const {
+    size_t n = 0;
+    for (const auto& spy : spies) {
+      n += static_cast<size_t>(std::count_if(spy->seen.begin(), spy->seen.end(), pred));
+    }
+    return n;
+  }
+  size_t CountCode(uint16_t code) const {
+    return Count([code](const QueryWireSpy::Seen& m) { return m.code == code; });
+  }
+  uint64_t SumCounter(uint64_t QueryService::Counters::*field) const {
+    uint64_t total = 0;
+    for (size_t i = 0; i < dep->size(); ++i) total += dep->query(i).counters().*field;
+    return total;
+  }
+  struct Outcome {
+    bool done = false;
+    Status status;
+    QueryResult result;
+  };
+  Outcome Run(const PhysicalPlan& plan, QueryOptions opts, sim::SimTime max_wait) {
+    Outcome out;
+    dep->query(0).Execute(plan, db_epoch, opts, [&out](Status st, QueryResult r) {
+      out.status = st;
+      out.result = std::move(r);
+      out.done = true;
+    });
+    if (dep->RunUntil([&out] { return out.done; }, max_wait)) {
+      dep->RunFor(sim::kMicrosPerSec);  // let the aborts land
+    }
+    return out;
+  }
+  /// The coordinator record's pages of `rel` at db_epoch.
+  std::vector<storage::PageDescriptor> PagesOf(const std::string& rel) {
+    std::vector<storage::PageDescriptor> pages;
+    bool done = false;
+    dep->storage(0).GetCoordinator(rel, db_epoch,
+                                   [&](Status st, storage::CoordinatorRecord rec) {
+                                     EXPECT_TRUE(st.ok()) << st.ToString();
+                                     pages = rec.pages;
+                                     done = true;
+                                   });
+    EXPECT_TRUE(dep->RunUntil([&done] { return done; }, 10 * sim::kMicrosPerSec));
+    return pages;
+  }
+
+  std::vector<std::unique_ptr<QueryWireSpy>> spies;
+};
+
+// Two scans and three rehashes on 8 nodes over 8-partition relations, so
+// every page lies inside one node's range: no scan has spill peers. The
+// query sends plans, blocks and aborts only, within the derived budget.
+TEST_F(QueryProtocolTest, AlignedMultiRehashPlanSendsNoControlMessages) {
+  constexpr size_t kNodes = 8;
+  Deploy(kNodes);
+  Rng rng(77);
+  std::vector<Tuple> r_rows, s_rows;
+  for (int i = 0; i < 400; ++i) {
+    r_rows.push_back({S(StrCat({"rk", std::to_string(i)})),
+                      S(StrCat({"v", std::to_string(rng.Uniform(30))}))});
+    s_rows.push_back({S(StrCat({"sk", std::to_string(i)})),
+                      S(StrCat({"v", std::to_string(rng.Uniform(30))}))});
+  }
+  LoadRows("R", r_rows);
+  LoadRows("S", s_rows);
+
+  PlanBuilder b;
+  int32_t rehash_r = b.Rehash(b.Scan("R"), {1});
+  int32_t rehash_s = b.Rehash(b.Scan("S"), {1});
+  int32_t join = b.Join(rehash_r, rehash_s, {1}, {1});
+  int32_t rehash_x = b.Rehash(join, {0});
+  AggSpec count;
+  count.fn = AggFn::kCount;
+  int32_t agg = b.Aggregate(rehash_x, {0}, {count});
+  PhysicalPlan plan = b.Ship(agg);
+  plan.final_stage.has_agg = true;
+  plan.final_stage.group_cols = {0};
+  AggSpec merge = count;
+  merge.has_arg = true;
+  merge.arg = Expr::Column(1);
+  plan.final_stage.aggs = {merge};
+  constexpr size_t kRehashOps = 3;
+  auto expect = ReferenceExecute(plan, ref_db);
+  ASSERT_TRUE(expect.ok());
+
+  AttachSpies();
+  QueryOptions opts;
+  opts.block_rows = 16;  // small blocks, so streams carry mid-stream blocks too
+  Outcome run = Run(plan, opts, 60 * sim::kMicrosPerSec);
+  ASSERT_TRUE(run.done);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_TRUE(SameBag(run.result.rows, *expect));
+
+  for (uint16_t retired : {3, 4, 5, 8}) EXPECT_EQ(CountCode(retired), 0u) << retired;
+  EXPECT_EQ(CountCode(kQueryFetchCode), 0u);
+  EXPECT_EQ(CountCode(kPlanCode), kNodes);
+  EXPECT_EQ(CountCode(kAbortCode), kNodes);
+  auto final_of = [](uint16_t code) {
+    return [code](const QueryWireSpy::Seen& m) { return m.code == code && m.eos; };
+  };
+  auto mid_of = [](uint16_t code) {
+    return [code](const QueryWireSpy::Seen& m) { return m.code == code && !m.eos; };
+  };
+  // One final block per (sender, receiver) pair per rehash op, one final
+  // Ship block per node; a mid-stream block leaves only with block_rows rows.
+  EXPECT_EQ(Count(final_of(kDataBlockCode)), kRehashOps * kNodes * kNodes);
+  EXPECT_EQ(Count(final_of(kShipBlockCode)), kNodes);
+  size_t mid_blocks = Count(mid_of(kDataBlockCode));
+  size_t mid_ships = Count(mid_of(kShipBlockCode));
+  EXPECT_GT(mid_blocks, 0u);
+  EXPECT_LE(mid_blocks, SumCounter(&QueryService::Counters::rows_routed) / opts.block_rows);
+  EXPECT_LE(mid_ships, SumCounter(&QueryService::Counters::rows_shipped) / opts.block_rows);
+  size_t budget = kNodes + kNodes + kRehashOps * kNodes * kNodes + mid_blocks + kNodes +
+                  mid_ships;
+  EXPECT_EQ(Count([](const QueryWireSpy::Seen&) { return true; }), budget);
+}
+
+// Sender and receiver derive the spill-peer sets by one rule, so they agree
+// on who exchanges fetch frames, under any table the query may run with; and
+// the sets cover every spillover the scan can route.
+TEST(SpillPeers, SymmetricAndCoveringOverRandomTables) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    auto scheme = (trial % 2 == 0) ? overlay::AllocationScheme::kBalanced
+                                   : overlay::AllocationScheme::kPastry;
+    size_t n = 1 + rng.Uniform(12);
+    std::vector<overlay::Member> members;
+    for (size_t i = 0; i < n; ++i) {
+      members.push_back(overlay::Member{
+          static_cast<net::NodeId>(i),
+          HashId::OfBytes(StrCat({"m", std::to_string(trial), "/", std::to_string(i)}))});
+    }
+    overlay::RoutingSnapshot table = overlay::RoutingSnapshot::Build(1, scheme, members);
+    if (n > 2 && trial % 3 == 0) {
+      std::vector<net::NodeId> failed;
+      for (size_t i = 0; i < n; ++i) {
+        if (failed.size() + 1 < n && rng.Uniform(3) == 0) {
+          failed.push_back(static_cast<net::NodeId>(i));
+        }
+      }
+      table = table.ReassignFailed(failed, 3, 2);
+    }
+    auto parts = static_cast<uint32_t>(1 + rng.Uniform(40));
+    std::vector<storage::PageDescriptor> pages;
+    for (uint32_t p = 0; p < parts; ++p) {
+      if (rng.Uniform(5) == 0) continue;  // empty partitions carry no page
+      storage::PageDescriptor d;
+      d.id = storage::PageId{"R", 1, p};
+      d.num_partitions = parts;
+      pages.push_back(d);
+    }
+    std::map<net::NodeId, SpillPeers> peers;
+    for (const auto& m : table.members()) {
+      peers[m.node] = ScanSpillPeers(pages, table, m.node);
+    }
+    for (const auto& [x, px] : peers) {
+      EXPECT_EQ(px.to.count(x), 0u);
+      EXPECT_EQ(px.from.count(x), 0u);
+      for (const auto& [y, py] : peers) {
+        EXPECT_EQ(px.to.count(y), py.from.count(x))
+            << "trial " << trial << " x=" << x << " y=" << y;
+      }
+    }
+    for (int probe = 0; probe < 50; ++probe) {
+      HashId h = HashId::OfBytes(StrCat({"h", std::to_string(trial), "/",
+                                         std::to_string(probe)}));
+      uint32_t p = storage::PartitionIndexFor(h, parts);
+      bool has_page = std::any_of(pages.begin(), pages.end(), [p](const auto& d) {
+        return d.id.partition == p;
+      });
+      if (!has_page) continue;
+      net::NodeId index_node = table.OwnerOf(storage::PartitionHome(p, parts));
+      net::NodeId owner = table.OwnerOf(h);
+      if (owner != index_node) {
+        EXPECT_EQ(peers[index_node].to.count(owner), 1u) << "trial " << trial;
+      }
+    }
+  }
+}
+
+// 8 partitions over 6 nodes: pages straddle node ranges, so index nodes push
+// spillover to their data owners. Each spill pair exchanges exactly one
+// (final) fetch frame per scan, and the answer is exact.
+TEST_F(QueryProtocolTest, StraddlingPartitionsFetchOnceBetweenSpillPeers) {
+  Deploy(6);
+  Rng rng(99);
+  std::vector<Tuple> r_rows, s_rows;
+  for (int i = 0; i < 300; ++i) {
+    r_rows.push_back({S("rk" + std::to_string(i)),
+                      S(StrCat({"j", std::to_string(rng.Uniform(40))}))});
+  }
+  for (int i = 0; i < 40; ++i) {
+    s_rows.push_back({S(StrCat({"j", std::to_string(i)})), S(StrCat({"z", std::to_string(i)}))});
+  }
+  LoadRows("R", r_rows);
+  LoadRows("S", s_rows);
+  PlanBuilder b;
+  int32_t rehash_r = b.Rehash(b.Scan("R"), {1});
+  int32_t join = b.Join(rehash_r, b.Scan("S"), {1}, {0});
+  PhysicalPlan plan = b.Ship(join);
+  auto expect = ReferenceExecute(plan, ref_db);
+  ASSERT_TRUE(expect.ok());
+
+  size_t spill_pairs = 0;
+  for (const std::string rel : {"R", "S"}) {
+    auto pages = PagesOf(rel);
+    for (const auto& m : dep->snapshot().members()) {
+      spill_pairs += ScanSpillPeers(pages, dep->snapshot(), m.node).to.size();
+    }
+  }
+  ASSERT_GT(spill_pairs, 0u);
+
+  AttachSpies();
+  Outcome run = Run(plan, {}, 60 * sim::kMicrosPerSec);
+  ASSERT_TRUE(run.done);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_TRUE(SameBag(run.result.rows, *expect))
+      << "got " << run.result.rows.size() << " want " << expect->size();
+  EXPECT_EQ(CountCode(kQueryFetchCode), spill_pairs);
+  for (uint16_t retired : {3, 4, 5, 8}) EXPECT_EQ(CountCode(retired), 0u) << retired;
+}
+
+// Blocks lost on one directed link between two workers: the receiver must
+// never take the sender's stream as ended, so the query does not resolve OK
+// with rows missing. Covers a lost final block and, with small blocks, lost
+// mid-stream blocks ahead of a delivered final block.
+TEST_F(QueryProtocolTest, LostBlocksNeverResolveOkWithRowsMissing) {
+  constexpr net::NodeId kFrom = 2, kTo = 5;
+  bool final_after_gap = false;
+  for (uint32_t block_rows : {1024u, 2u}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      spies.clear();
+      Deploy(8);
+      Rng rng(seed);
+      std::vector<Tuple> r_rows;
+      for (int i = 0; i < 300; ++i) {
+        r_rows.push_back({S("rk" + std::to_string(i)),
+                          S(StrCat({"j", std::to_string(rng.Uniform(60))}))});
+      }
+      LoadRows("R", r_rows);
+      PlanBuilder b;
+      PhysicalPlan plan = b.Ship(b.Rehash(b.Scan("R"), {1}));
+      auto expect = ReferenceExecute(plan, ref_db);
+      ASSERT_TRUE(expect.ok());
+
+      AttachSpies();
+      dep->network().SeedFaults(seed);
+      dep->network().SetDropOverride(kFrom, kTo, block_rows == 1024 ? 1.0 : 0.3);
+      QueryOptions opts;
+      opts.block_rows = block_rows;
+      Outcome run = Run(plan, opts, 30 * sim::kMicrosPerSec);
+      uint64_t dropped = dep->network().fault_counters().dropped;
+      if (block_rows == 1024) {
+        EXPECT_GT(dropped, 0u);  // the one final block
+      }
+      if (run.done && run.status.ok()) {
+        EXPECT_TRUE(SameBag(run.result.rows, *expect))
+            << "resolved OK with " << run.result.rows.size() << " of " << expect->size()
+            << " rows (block_rows " << block_rows << ", seed " << seed << ")";
+      }
+      const auto& at_to = spies[kTo]->seen;
+      final_after_gap |= dropped > 0 && std::any_of(at_to.begin(), at_to.end(), [](const auto& m) {
+        return m.from == kFrom && m.code == kDataBlockCode && m.eos;
+      });
+    }
+  }
+  // Some run lost only mid-stream blocks (the link carries nothing after the
+  // final block): the final block arrived and its count kept the stream open.
+  EXPECT_TRUE(final_after_gap);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "common/strings.h"
 #include "deploy/deployment.h"
@@ -204,6 +206,60 @@ TEST_F(OptimizerTest, KeyOnlyQueryUsesCoveringScan) {
   EXPECT_EQ(CountKind(planned.plan, query::OpKind::kScan), 0u);
 }
 
+// The scan's key filter, or a match-all filter when the plan has no scan.
+storage::KeyFilter ScanFilter(const query::PhysicalPlan& plan) {
+  for (const auto& op : plan.ops) {
+    if (op.kind == query::OpKind::kScan || op.kind == query::OpKind::kCoveringScan) {
+      return op.key_filter;
+    }
+  }
+  return {};
+}
+
+std::string Enc(const Value& v) {
+  std::string out;
+  v.EncodeOrdered(&out);
+  return out;
+}
+
+TEST_F(OptimizerTest, SargableLeadingKeyRangeBecomesKeyFilter) {
+  auto between = ScanFilter(MustPlan("SELECT id, grp FROM T WHERE id BETWEEN 10 AND 20").plan);
+  ASSERT_FALSE(between.all);
+  EXPECT_EQ(between.lo, Enc(Value(int64_t{10})));
+  EXPECT_EQ(between.hi, Enc(Value(int64_t{20})) + "\xff");
+  EXPECT_TRUE(between.Matches(Enc(Value(int64_t{10}))));
+  EXPECT_TRUE(between.Matches(Enc(Value(int64_t{20}))));
+  EXPECT_FALSE(between.Matches(Enc(Value(int64_t{21}))));
+  EXPECT_FALSE(between.Matches(Enc(Value(int64_t{-3}))));
+
+  auto eq = ScanFilter(MustPlan("SELECT x, y FROM R WHERE x = 'k7'").plan);
+  ASSERT_FALSE(eq.all);
+  EXPECT_TRUE(eq.Matches(Enc(Value(std::string("k7")))));
+  EXPECT_FALSE(eq.Matches(Enc(Value(std::string("k70")))));
+  EXPECT_FALSE(eq.Matches(Enc(Value(std::string("k6")))));
+
+  // One-sided ranges, with the literal on either side of the comparison.
+  auto ge = ScanFilter(MustPlan("SELECT id FROM T WHERE 40 <= id").plan);
+  ASSERT_FALSE(ge.all);
+  EXPECT_FALSE(ge.Matches(Enc(Value(int64_t{39}))));
+  EXPECT_TRUE(ge.Matches(Enc(Value(int64_t{1} << 40))));
+  auto le = ScanFilter(MustPlan("SELECT id FROM T WHERE id <= 40").plan);
+  ASSERT_FALSE(le.all);
+  EXPECT_TRUE(le.Matches(Enc(Value(int64_t{-1000}))));
+  EXPECT_FALSE(le.Matches(Enc(Value(int64_t{41}))));
+
+  // Not sargable on the leading key: another column, another literal type,
+  // or no predicate at all. The scan then reads every entry.
+  EXPECT_TRUE(ScanFilter(MustPlan("SELECT id FROM T WHERE val >= 2.5").plan).all);
+  EXPECT_TRUE(ScanFilter(MustPlan("SELECT id FROM T WHERE id >= 2.5").plan).all);
+  EXPECT_TRUE(ScanFilter(MustPlan("SELECT id FROM T WHERE id <> 4").plan).all);
+  EXPECT_TRUE(ScanFilter(MustPlan("SELECT id FROM T").plan).all);
+  // The Select stays above the scan, so the answer never depends on it.
+  EXPECT_EQ(CountKind(MustPlan("SELECT id, grp FROM T WHERE id = 3").plan,
+                      query::OpKind::kSelect),
+            1u);
+}
+
 TEST_F(OptimizerTest, CoPartitionedJoinSkipsOneRehash) {
   // R.y = S.y with S keyed on y: only R needs a rehash (Fig. 6).
   auto planned = MustPlan("SELECT x, z FROM R, S WHERE R.y = S.y");
@@ -377,6 +433,30 @@ TEST_F(SqlEndToEnd, ArithmeticInAggArg) {
 
 TEST_F(SqlEndToEnd, OrderByLimit) {
   CheckSql("SELECT id, val FROM T WHERE id < 50 ORDER BY id DESC LIMIT 7");
+}
+
+TEST_F(SqlEndToEnd, KeyFilteredScansMatchTheReference) {
+  for (const char* text : {
+           "SELECT id, grp FROM T WHERE id BETWEEN 100 AND 199",
+           "SELECT id, val FROM T WHERE id >= 450",
+           "SELECT id, val FROM T WHERE id <= 20 AND id > 3",
+           "SELECT id, grp, val FROM T WHERE id = 7",
+           "SELECT grp, COUNT(*) FROM T WHERE id < 250 GROUP BY grp",
+           "SELECT x, y FROM R WHERE x = 'x17'",
+           "SELECT x FROM R WHERE x >= 'x3' AND x <= 'x4'",
+           "SELECT x, z FROM R, S WHERE R.y = S.y AND S.y BETWEEN 'y1' AND 'y2'",
+       }) {
+    auto q = sql::ParseAndAnalyze(text, catalog);
+    ASSERT_TRUE(q.ok()) << text;
+    CostParams params;
+    params.num_nodes = dep->size();
+    auto planned = Optimizer(stats, params).Plan(*q);
+    ASSERT_TRUE(planned.ok()) << text;
+    EXPECT_TRUE(std::any_of(planned->plan.ops.begin(), planned->plan.ops.end(),
+                            [](const query::PhysOp& op) { return !op.key_filter.all; }))
+        << text << " carries no key filter:\n" << planned->plan.ToString();
+    CheckSql(text);
+  }
 }
 
 TEST_F(SqlEndToEnd, RunningExampleViaSql) {
