@@ -1,7 +1,6 @@
 // Pipelined batched publishing through client::Session: throughput of an
 // STBench-sized update stream at publish windows 1/2/4/8, the coalesced
-// kPutTuples RPC count, and the admission-control story (inbox depth + the
-// backpressure knob).
+// kPutTuples RPC count, and the per-node inbox depth.
 //
 // The primary sweep runs the paper's own setting — collaborative peers
 // publishing over wide-area links (§VI deploys on shared clusters/EC2; the
@@ -17,8 +16,7 @@
 // acceptance bounds on the deterministic sim metrics:
 //   * WAN sim throughput at window 4 >= 2x window 1,
 //   * max per-node inbox depth at window 8 <= 16 (two queued deliveries per
-//     in-flight publish),
-//   * the admission-control phase actually throttled (and lost nothing).
+//     in-flight publish).
 //
 //   build/bench_pipelined_publish
 #include <cinttypes>
@@ -65,15 +63,12 @@ struct PhaseResult {
   uint64_t chained = 0;      // publishes that pipelined onto a predecessor
   uint64_t max_inbox_msgs = 0;
   uint64_t max_inbox_bytes = 0;
-  uint64_t throttle_shrinks = 0;
-  size_t min_window_seen = 0;
 };
 
 struct PhaseConfig {
   size_t window = 1;
   net::LinkParams link;            // default: Gigabit LAN
   uint64_t rows_per_batch = 50;    // small batches -> latency-bound publishes
-  uint64_t injected_peer_load = 0; // synthetic overload on every peer
 };
 
 PhaseResult RunPhase(const PhaseConfig& cfg, uint64_t total_rows) {
@@ -86,12 +81,6 @@ PhaseResult RunPhase(const PhaseConfig& cfg, uint64_t total_rows) {
   if (!dep.CreateRelation(0, StreamRelation()).ok()) {
     std::fprintf(stderr, "create relation failed\n");
     std::exit(1);
-  }
-  if (cfg.injected_peer_load > 0) {
-    for (size_t i = 1; i < dep.size(); ++i) {
-      dep.storage(i).InjectLoadHint(
-          static_cast<uint32_t>(cfg.injected_peer_load));
-    }
   }
 
   const uint64_t batches = std::max<uint64_t>(8, total_rows / cfg.rows_per_batch);
@@ -153,8 +142,6 @@ PhaseResult RunPhase(const PhaseConfig& cfg, uint64_t total_rows) {
     r.max_inbox_msgs = std::max(r.max_inbox_msgs, ib.max_messages);
     r.max_inbox_bytes = std::max(r.max_inbox_bytes, ib.max_bytes);
   }
-  r.throttle_shrinks = session.stats().throttle_shrinks;
-  r.min_window_seen = session.stats().min_window_seen;
   return r;
 }
 
@@ -169,16 +156,14 @@ void Report(bench::JsonReport& report, const std::string& name,
        {"put_frames", static_cast<double>(r.put_frames)},
        {"chained", static_cast<double>(r.chained)},
        {"max_inbox_msgs", static_cast<double>(r.max_inbox_msgs)},
-       {"max_inbox_bytes", static_cast<double>(r.max_inbox_bytes)},
-       {"throttle_shrinks", static_cast<double>(r.throttle_shrinks)},
-       {"min_window_seen", static_cast<double>(r.min_window_seen)}});
+       {"max_inbox_bytes", static_cast<double>(r.max_inbox_bytes)}});
   std::printf(
       "%-28s window=%zu tuples=%" PRIu64 " sim_s=%.3f wall_s=%.3f "
       "sim_tuples_per_sec=%.0f put_frames=%" PRIu64 " chained=%" PRIu64
-      " max_inbox_msgs=%" PRIu64 " throttle_shrinks=%" PRIu64 "\n",
+      " max_inbox_msgs=%" PRIu64 "\n",
       name.c_str(), r.window, r.tuples, r.sim_s, r.wall_s,
       r.sim_s > 0 ? static_cast<double>(r.tuples) / r.sim_s : 0, r.put_frames,
-      r.chained, r.max_inbox_msgs, r.throttle_shrinks);
+      r.chained, r.max_inbox_msgs);
 }
 
 }  // namespace
@@ -206,16 +191,6 @@ int main() {
     cfg.window = w;
     PhaseResult r = RunPhase(cfg, rows);
     Report(report, "lan_window_" + std::to_string(w), r);
-  }
-
-  // Admission control under overload: every peer advertises heavy load; the
-  // window-8 session must throttle down (to 1) and still commit everything.
-  {
-    PhaseConfig cfg;
-    cfg.window = 8;
-    cfg.injected_peer_load = 100000;
-    PhaseResult r = RunPhase(cfg, rows);
-    Report(report, "overload_injected_window_8", r);
   }
 
   double speedup = wan[0].sim_s > 0 && wan[2].sim_s > 0

@@ -193,7 +193,7 @@ for ref_path in sorted(glob.glob("bench/results/BENCH_*.json")):
     # sim metrics (independent of machine speed):
     #   window-4 pipeline >= 2x window-1 throughput, inbox depth at window 8
     #   at most two queued deliveries per in-flight publish (2 x 8 = 16;
-    #   measured 10), admission control engaged.
+    #   measured 10).
     if ref["bench"] == "pipelined_publish":
         f = fresh_entries
         try:
@@ -207,11 +207,6 @@ for ref_path in sorted(glob.glob("bench/results/BENCH_*.json")):
                 failures.append(
                     f"pipelined_publish: window-8 max inbox "
                     f"{w8['max_inbox_msgs']} > 16 (2 per in-flight publish)")
-            ov = f["overload_injected_window_8"]
-            if ov["throttle_shrinks"] < 1 or ov["min_window_seen"] != 1:
-                failures.append(
-                    "pipelined_publish: admission control did not throttle "
-                    "under injected overload")
         except KeyError as e:
             failures.append(f"pipelined_publish: missing entry {e}")
     # Sustained-churn acceptance bounds: GC must keep the gc_on/gc_off

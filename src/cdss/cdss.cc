@@ -119,20 +119,10 @@ Result<storage::Epoch> Participant::Publish() {
   // deployment helper reads the converged value deterministically.
   dep_->gossip(node_).AdvanceTo(dep_->MaxKnownEpoch());
 
-  bool done = false;
-  Status status;
-  storage::Epoch epoch = 0;
-  dep_->publisher(node_).PublishBatch(std::move(batch),
-                                      [&](Status st, storage::Epoch e) {
-                                        status = st;
-                                        epoch = e;
-                                        done = true;
-                                      });
-  if (!dep_->RunUntil([&] { return done; })) {
-    return Status::TimedOut("publish did not complete");
-  }
-  ORC_RETURN_IF_ERROR(status);
-  log_.clear();
+  // Submit through this node's client::Session and step the simulator until
+  // the ticket resolves.
+  auto epoch = dep_->Publish(node_, std::move(batch));
+  if (epoch.ok()) log_.clear();
   return epoch;
 }
 

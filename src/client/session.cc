@@ -26,7 +26,6 @@ struct Session::Impl {
   // Chain tail: the most recently launched publish; the next launch chains
   // onto it (the publisher falls back to discovery if it already resolved).
   storage::Publisher::Handle chain_tail;
-  size_t effective_window = 1;
   storage::Epoch last_epoch = 0;
   std::vector<Pending<storage::Epoch>> flush_waiters;
   Stats stats;
@@ -43,9 +42,6 @@ Session::Session(storage::StorageService* storage, storage::Publisher* publisher
   impl_->opts = options;
   impl_->opts.max_window = std::max<size_t>(1, impl_->opts.max_window);
   if (options.participant != 0) publisher->set_participant(options.participant);
-  impl_->effective_window =
-      impl_->opts.pipeline ? impl_->opts.max_window : 1;
-  impl_->stats.min_window_seen = impl_->effective_window;
 }
 
 Session::~Session() {
@@ -56,27 +52,6 @@ Session::~Session() {
 }
 
 namespace {
-
-/// Admission control: sample the worst recent peer load hint and adapt the
-/// window — halve on a high-watermark breach (multiplicative decrease), grow
-/// one step once load clears the low watermark (additive increase).
-void UpdateWindow(const std::shared_ptr<Session::Impl>& im) {
-  size_t max_window = im->opts.pipeline ? im->opts.max_window : 1;
-  uint32_t load = im->storage->MaxRecentPeerLoad();
-  if (load >= im->opts.load_high_watermark) {
-    if (im->effective_window > 1) {
-      im->effective_window = std::max<size_t>(1, im->effective_window / 2);
-      im->stats.throttle_shrinks += 1;
-    }
-  } else if (load <= im->opts.load_low_watermark &&
-             im->effective_window < max_window) {
-    im->effective_window += 1;
-    im->stats.window_grows += 1;
-  }
-  im->effective_window = std::min(im->effective_window, max_window);
-  im->stats.min_window_seen =
-      std::min(im->stats.min_window_seen, im->effective_window);
-}
 
 void MaybeResolveFlush(const std::shared_ptr<Session::Impl>& im) {
   if (!im->inflight.empty() || !im->queue.empty()) return;
@@ -116,10 +91,8 @@ void Launch(const std::shared_ptr<Session::Impl>& im,
             std::shared_ptr<Session::Impl::Entry> e) {
   im->inflight.push_back(e);
   im->stats.max_in_flight = std::max(im->stats.max_in_flight, im->inflight.size());
-  storage::Publisher::Handle prev =
-      im->opts.pipeline ? im->chain_tail : storage::Publisher::Handle();
   e->handle = im->publisher->PublishChained(
-      std::move(e->batch), std::move(prev),
+      std::move(e->batch), im->chain_tail,
       [im, e](Status st, storage::Epoch epoch) {
         RemoveInflight(im, e);
         if (e->ticket.done()) {
@@ -150,9 +123,7 @@ void Pump(const std::shared_ptr<Session::Impl>& im) {
   im->pumping = true;
   do {
     im->repump = false;
-    while (!im->queue.empty() && im->inflight.size() < im->effective_window) {
-      UpdateWindow(im);
-      if (im->inflight.size() >= im->effective_window) break;
+    while (!im->queue.empty() && im->inflight.size() < im->opts.max_window) {
       auto e = im->queue.front();
       im->queue.pop_front();
       Launch(im, e);
@@ -243,7 +214,6 @@ void Session::AbortInFlight(Status why) {
 
 size_t Session::in_flight() const { return impl_->inflight.size(); }
 size_t Session::queued() const { return impl_->queue.size(); }
-size_t Session::window() const { return impl_->effective_window; }
 storage::ParticipantId Session::participant() const {
   return impl_->publisher->participant();
 }

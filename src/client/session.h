@@ -22,12 +22,9 @@
 // idempotent per batch), exactly the retry discipline the GC sweep's
 // same-batch precondition requires.
 //
-// Admission control: every storage RPC reply carries the responder's load
-// hint (its inbox depth). When the worst recent hint crosses
-// `load_high_watermark` the session halves its window (down to 1) before
-// launching more work; when load falls below `load_low_watermark` the window
-// recovers one step per launch opportunity. No submitted batch is ever
-// dropped by throttling — it just waits in the queue.
+// `max_window` is the only cap on publishes in flight: a batch submitted
+// while the window is full waits in the queue and launches as the oldest
+// in-flight publish resolves. No submitted batch is ever dropped.
 //
 // Multi-writer: a session publishes for exactly one PARTICIPANT
 // (SessionOptions::participant; 0 keeps the publisher's default of
@@ -71,16 +68,9 @@ struct SessionOptions {
   /// participants; a non-zero value is installed on the session's publisher
   /// at construction (one publisher = one participant).
   storage::ParticipantId participant = 0;
-  /// Max publishes in flight. >1 enables pipelined chaining; 1 reproduces
-  /// the legacy one-at-a-time behavior exactly.
+  /// Max publishes in flight. >1 enables pipelined chaining; 1 publishes
+  /// one batch at a time.
   size_t max_window = 4;
-  /// Disables chaining (forces an effective window of 1) without changing
-  /// the API — the deprecation-shim equivalence knob.
-  bool pipeline = true;
-  /// Shrink the window when any peer's recent load hint reaches this.
-  uint32_t load_high_watermark = 192;
-  /// Grow the window back once the worst recent hint is at or below this.
-  uint32_t load_low_watermark = 48;
 };
 
 /// A submitted publish. `epoch` resolves with the committed epoch, or with
@@ -138,8 +128,6 @@ class Session {
   // --- Introspection --------------------------------------------------------
   size_t in_flight() const;
   size_t queued() const;
-  /// Current effective window (admission control may hold it below max).
-  size_t window() const;
   /// The participant identity this session publishes as.
   storage::ParticipantId participant() const;
   storage::Epoch last_epoch() const;
@@ -149,9 +137,10 @@ class Session {
     uint64_t submitted = 0;
     uint64_t committed = 0;
     uint64_t failed = 0;          // includes pipeline-abort cancellations
-    uint64_t throttle_shrinks = 0;  // window halvings on load-hint breach
-    uint64_t window_grows = 0;
-    size_t min_window_seen = 0;   // smallest effective window used
+    // Always 0: the session has no admission control, so it never shrinks
+    // its window. Kept because the end-to-end benchmark's per-layer report
+    // (perfbench/src/layers.cc) reads it.
+    uint64_t throttle_shrinks = 0;
     size_t max_in_flight = 0;
   };
   const Stats& stats() const;

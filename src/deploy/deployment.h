@@ -56,8 +56,8 @@ struct DeploymentOptions {
   /// newest checkpoint plus the surviving tail (docs/DURABILITY.md). Off
   /// reverts to the seed behavior where the record log itself survives.
   bool durable_wal = true;
-  /// Per-node client::Session tuning: publish window (pipelining), admission
-  /// control watermarks. Defaults pipeline up to 4 publishes per session.
+  /// Per-node client::Session tuning: the participant and the publish
+  /// window. Defaults pipeline up to 4 publishes per session.
   /// Leave `session.participant` at 0: every node's session then publishes
   /// as its own distinct participant (node id + 1), which is what makes
   /// concurrent multi-writer publishing across sessions safe.

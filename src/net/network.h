@@ -61,9 +61,8 @@ struct NodeTraffic {
 
 /// A node's inbox occupancy: queued-but-undrained deliveries (messages,
 /// drop notices, and node tasks) and their payload bytes, plus high-water
-/// marks since the last ResetTraffic(). This is the admission-control
-/// signal — storage replies advertise it as a load hint, and it is what the
-/// pipelined-publish bench bounds under overload.
+/// marks since the last ResetTraffic(). The pipelined-publish bench and
+/// perfbench bound its high-water mark.
 struct InboxStats {
   uint64_t messages = 0;      // deliveries currently queued
   uint64_t bytes = 0;         // payload bytes currently queued
@@ -165,7 +164,7 @@ class Network {
   uint64_t total_bytes() const { return total_bytes_; }
   uint64_t total_messages() const { return total_messages_; }
   const NodeTraffic& traffic(NodeId node) const { return nodes_[node].traffic; }
-  /// Current + high-water inbox occupancy (admission-control signal).
+  /// Current + high-water inbox occupancy.
   const InboxStats& inbox_stats(NodeId node) const { return nodes_[node].inbox_stats; }
   /// Max over nodes of the inbox message high-water mark.
   uint64_t MaxInboxMessages() const;

@@ -167,16 +167,11 @@ bool RpcClient::HandleReply(const std::string& payload) {
   uint64_t req_id;
   uint8_t st_code;
   std::string st_msg;
-  uint32_t load_hint;
   if (!r.GetU64(&req_id).ok() || !r.GetU8(&st_code).ok() ||
-      !r.GetString(&st_msg).ok() || !r.GetVarint32(&load_hint).ok()) {
+      !r.GetString(&st_msg).ok()) {
     return false;
   }
-  auto it = pending_.find(req_id);
-  if (it == pending_.end()) return false;  // raced, resolved
-  // Surface the responder's load hint before the call's callback runs, so a
-  // caller that reacts to its own completion already sees fresh load state.
-  if (load_hint_handler_) load_hint_handler_(it->second.to, load_hint);
+  if (pending_.count(req_id) == 0) return false;  // raced, resolved
   std::string body(payload.substr(r.position()));
   Resolve(req_id, Resolution::kReply, MakeStatus(st_code, st_msg), body);
   return true;
@@ -204,12 +199,11 @@ void RpcClient::Resolve(uint64_t req_id, Resolution how, Status st,
 
 void RpcClient::SendReply(NodeHost* host, NodeId to, ServiceId service,
                           uint16_t reply_code, uint64_t req_id, const Status& st,
-                          std::string body, uint32_t load_hint) {
+                          std::string body) {
   Writer w(body.size() + 20);
   w.PutU64(req_id);
   w.PutU8(static_cast<uint8_t>(st.code()));
   w.PutString(st.message());
-  w.PutVarint32(load_hint);
   w.PutRaw(body.data(), body.size());
   host->SendTo(to, service, reply_code, w.Release());
 }

@@ -102,25 +102,14 @@ class RpcClient {
   /// if it was malformed or raced with a timeout/reap (already resolved).
   bool HandleReply(const std::string& payload);
 
-  /// Admission control: every reply envelope carries the responder's load
-  /// hint (its inbox depth measure). The handler — if set — observes
-  /// (responder, hint) for each reply before the call's own callback runs,
-  /// letting the owning service keep a per-peer load view without touching
-  /// individual call sites.
-  void SetLoadHintHandler(std::function<void(NodeId, uint32_t)> handler) {
-    load_hint_handler_ = std::move(handler);
-  }
-
   size_t pending_count() const { return pending_.size(); }
   const Counters& counters() const { return counters_; }
 
-  /// Encodes req-id + status + load hint + body and sends it as
-  /// (service, reply_code) from `host`'s node to `to` — the server half of
-  /// the envelope. `load_hint` is the responder's current load measure
-  /// (0 = unloaded); clients surface it through SetLoadHintHandler.
+  /// Encodes req-id + status + body and sends it as (service, reply_code)
+  /// from `host`'s node to `to` — the server half of the envelope.
   static void SendReply(NodeHost* host, NodeId to, ServiceId service,
                         uint16_t reply_code, uint64_t req_id, const Status& st,
-                        std::string body, uint32_t load_hint = 0);
+                        std::string body);
 
  private:
   struct PendingCall {
@@ -140,7 +129,6 @@ class RpcClient {
   uint16_t reply_code_;
   uint64_t next_req_id_ = 1;
   std::unordered_map<uint64_t, PendingCall> pending_;
-  std::function<void(NodeId, uint32_t)> load_hint_handler_;
   Counters counters_;
 };
 

@@ -314,19 +314,20 @@ Status MergePageDelta(std::string_view base_bytes, const PageWrite& delta,
 void EpochClaimRecord::EncodeTo(Writer* w) const {
   w->PutVarint32(participant);
   w->PutVarint32(node);
-  w->PutBool(committed);
+  w->PutU8(static_cast<uint8_t>(state));
   w->PutVarint64(nonce);
-  w->PutBool(fenced);
-  w->PutBool(purged);
 }
 
 Status EpochClaimRecord::DecodeFrom(Reader* r, EpochClaimRecord* out) {
+  uint8_t state;
   ORC_RETURN_IF_ERROR(r->GetVarint32(&out->participant));
   ORC_RETURN_IF_ERROR(r->GetVarint32(&out->node));
-  ORC_RETURN_IF_ERROR(r->GetBool(&out->committed));
-  ORC_RETURN_IF_ERROR(r->GetVarint64(&out->nonce));
-  ORC_RETURN_IF_ERROR(r->GetBool(&out->fenced));
-  return r->GetBool(&out->purged);
+  ORC_RETURN_IF_ERROR(r->GetU8(&state));
+  if (state > static_cast<uint8_t>(ClaimState::kCommitted)) {
+    return Status::Corruption("epoch claim: unknown state");
+  }
+  out->state = static_cast<ClaimState>(state);
+  return r->GetVarint64(&out->nonce);
 }
 
 void CoordinatorRecord::EncodeTo(Writer* w) const {

@@ -8,6 +8,7 @@
 #define ORCHESTRA_STORAGE_PAGE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -159,37 +160,39 @@ struct PageWrite {
 Status MergePageDelta(std::string_view base_bytes, const PageWrite& delta,
                       std::string* out, uint64_t* entries);
 
+/// The life of an epoch claim, weakest first. The declaration order IS the
+/// merge-strength lattice (EpochClaimRecord::Merge): a commit is a fact
+/// everything yields to; a purged burn carries purge authority (its fence
+/// round reached unanimity, so the epoch can never commit); a burn promise
+/// is a fence grant whose round may yet fail, so it refuses claims and
+/// confirms here but must never delete data; a plain claim pins the epoch
+/// for its owner's publish.
+enum class ClaimState : uint8_t { kClaimed, kBurnPromised, kPurged, kCommitted };
+
 /// Value of an epoch-claim record ('E' keys, see keys::EpochClaim): which
 /// participant owns the epoch, from which node and claim attempt (`nonce` —
-/// releases and idempotent re-grants are instance-exact), and whether the
-/// epoch's commit completed (`committed` — flipped by kConfirmEpoch; only
-/// confirmed epochs are reported by discovery). One codec for every site
-/// that touches claim bytes: the claim handlers, release, confirm, replica-
-/// push merge, restart rebuild, and the publisher's commit probe.
+/// releases and idempotent re-grants are instance-exact), and its state.
+/// Only committed epochs are reported by discovery; a burned record keeps
+/// naming the fenced instance. One codec for every site that touches claim
+/// bytes: the claim handlers, release, confirm, replica-push merge, restart
+/// rebuild, and the publisher's commit probe.
 struct EpochClaimRecord {
   ParticipantId participant = 0;
   uint32_t node = 0;
-  bool committed = false;
+  ClaimState state = ClaimState::kClaimed;
   uint64_t nonce = 0;
-  // Fenced = the epoch is BURNED: no participant (including the original
-  // owner) may ever claim or confirm at this epoch again through this
-  // replica — contenders skip past it. The participant/node/nonce fields
-  // keep naming the fenced instance so late zombie writes are refused
-  // instance-exactly. committed and fenced are mutually exclusive for all
-  // time on one replica (kFenceEpoch refuses committed claims; confirm
-  // refuses fenced epochs) — and when a fence round only PARTIALLY granted,
-  // a replica-pushed committed record overrides a fenced one (the commit is
-  // a fact the burn promise must yield to).
-  bool fenced = false;
-  // Purged = the fence reached unanimity: every claim replica granted, so
-  // the epoch can never be observed committed and the fencer broadcast the
-  // orphan purge. Only purged burns carry purge authority (restart rebuild
-  // and replica pushes purge from them); a fenced-but-unpurged record is a
-  // burn PROMISE from a possibly-partial fence round and must never delete
-  // data. Meaningless unless fenced.
-  bool purged = false;
+
+  bool operator==(const EpochClaimRecord&) const = default;
+
+  /// The lattice join of a stored record and an incoming one: the higher
+  /// state wins, and a tie keeps the stored record.
+  static EpochClaimRecord Merge(const std::optional<EpochClaimRecord>& mine,
+                                const EpochClaimRecord& incoming) {
+    return mine && mine->state >= incoming.state ? *mine : incoming;
+  }
 
   void EncodeTo(Writer* w) const;
+  /// Corruption on a truncated record or an unknown state byte.
   static Status DecodeFrom(Reader* r, EpochClaimRecord* out);
 };
 

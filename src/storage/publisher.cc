@@ -156,11 +156,6 @@ void Publisher::CreateRelation(const RelationDef& def,
   service_->CallAll(everyone, kCatalogAdd, w.data(), std::move(after_catalog));
 }
 
-void Publisher::PublishBatch(UpdateBatch batch,
-                             std::function<void(Status, Epoch)> cb) {
-  PublishChained(std::move(batch), nullptr, std::move(cb));
-}
-
 Publisher::Handle Publisher::PublishChained(UpdateBatch batch, Handle prev,
                                             std::function<void(Status, Epoch)> cb) {
   auto st = std::make_shared<PubState>();
@@ -195,13 +190,6 @@ Publisher::Handle Publisher::PublishChained(UpdateBatch batch, Handle prev,
     return st;
   }
   if (prev) pipeline_stats_.chain_fallbacks += 1;
-
-  if (!epoch_discovery_) {
-    st->base_epoch = gossip_->epoch();
-    st->new_epoch = st->base_epoch + 1;
-    BeginPublish(st);
-    return st;
-  }
   DiscoverEpoch(st, /*rounds_left=*/2);
   return st;
 }
@@ -822,11 +810,11 @@ void Publisher::AwaitWinner(Handle st, Epoch contested) {
                    " claimed by another participant that has not committed"));
     return;
   }
-  // Probe the claim's `committed` flag — NOT a coordinator record. A torn
+  // Probe the claim's state for kCommitted — NOT a coordinator record. A torn
   // commit leaves partial records at the contested epoch, and basing on
   // those would absorb the winner's uncommitted (and possibly cross-attempt
-  // inconsistent) state; the confirm flag is flipped only after EVERY record
-  // of the epoch was acked.
+  // inconsistent) state; the confirm raises the claim only after EVERY
+  // record of the epoch was acked.
   Writer w;
   w.PutVarint64(contested);
   auto replicas = service_->snapshot().ReplicasOf(ClaimHash(contested),
@@ -840,11 +828,11 @@ void Publisher::AwaitWinner(Handle st, Epoch contested) {
           Reader r(reply);
           EpochClaimRecord claim;
           if (EpochClaimRecord::DecodeFrom(&r, &claim).ok()) {
-            if (claim.committed) {
+            if (claim.state == ClaimState::kCommitted) {
               Rebase(st, contested);
               return;
             }
-            if (claim.fenced && claim.purged) {
+            if (claim.state == ClaimState::kPurged) {
               // The fence reached unanimity: the epoch is burned for
               // everyone — skip past it with the base intact.
               SkipFenced(st, contested);
@@ -853,7 +841,7 @@ void Publisher::AwaitWinner(Handle st, Epoch contested) {
             // Remember the stalled owner: a fence round must name the exact
             // participant it retires (the replicas refuse a mismatched
             // target, so a hand-off between owners can never be mis-fenced).
-            // A bare burn promise (fenced, not purged) lands here too — it
+            // A bare burn promise (kBurnPromised) lands here too — it
             // is NOT skippable (the epoch may yet commit); waiting and, on
             // stall, re-fencing it to unanimity is what resolves it.
             if (claim.participant != 0) st->fence_target = claim.participant;

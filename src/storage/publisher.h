@@ -110,30 +110,23 @@ class Publisher {
   /// record at the current epoch.
   void CreateRelation(const RelationDef& def, std::function<void(Status)> cb);
 
-  /// DEPRECATED shim: publishes `batch` as one new epoch with full epoch
-  /// discovery; cb receives the new epoch. Prefer client::Session, which
-  /// adds pipelining, backpressure, and Pending-based completion on top of
-  /// PublishChained. Semantics are unchanged from the pre-Session API:
-  /// a failed publish never advances the epoch, and republishing the same
-  /// batch is idempotent (the retry recomputes the same new epoch and
-  /// rewrites byte-identical records over whatever the first attempt landed).
-  void PublishBatch(UpdateBatch batch, std::function<void(Status, Epoch)> cb);
-
-  /// Pipelined entry point. If `prev` names a publish from this Publisher
-  /// that is still in flight, the new publish chains onto it (see the file
-  /// comment); if `prev` is null or already resolved, this is a fresh
-  /// publish with full epoch discovery — a resolved predecessor gives no
-  /// freshness guarantee (another participant may have published since), so
-  /// chaining onto one is never attempted. Returns the publish's handle
-  /// (already resolved if the batch was rejected synchronously). The handle
-  /// must outlive the publish; cb resolves exactly once.
+  /// The one publish entry point (client::Session drives it). Publishes
+  /// `batch` as one new epoch; cb receives the new epoch. A failed publish
+  /// never advances the epoch, and republishing the same batch is idempotent
+  /// (the retry recomputes the same new epoch and rewrites byte-identical
+  /// records over whatever the first attempt landed). If `prev` names a
+  /// publish from this Publisher that is still in flight, the new publish
+  /// chains onto it (see the file comment); if `prev` is null or already
+  /// resolved, this is a fresh publish with full epoch discovery — a
+  /// resolved predecessor gives no freshness guarantee (another participant
+  /// may have published since), so chaining onto one is never attempted.
+  /// Returns the publish's handle (already resolved if the batch was
+  /// rejected synchronously). The handle must outlive the publish; cb
+  /// resolves exactly once.
   Handle PublishChained(UpdateBatch batch, Handle prev,
                         std::function<void(Status, Epoch)> cb);
 
   Epoch current_epoch() const { return gossip_->epoch(); }
-
-  /// Epoch-discovery toggle (on by default; off restores gossip-only bases).
-  void set_epoch_discovery(bool on) { epoch_discovery_ = on; }
 
   /// GC policy: after each successful publish, advertise a low-watermark of
   /// (new epoch - keep) to every member, retiring superseded versions below
@@ -287,8 +280,8 @@ class Publisher {
   /// publish before its commit, preserving the fail-the-suffix contract).
   void WriteCoordinators(Handle st);
   void CommitAfterPrev(Handle st);
-  /// Post-commit confirmation: flips the epoch claim's `committed` flag on
-  /// the claim replicas so discovery can report the epoch. Runs after every
+  /// Post-commit confirmation: stores the epoch claim as kCommitted on the
+  /// claim replicas so discovery can report the epoch. Runs after every
   /// coordinator record landed; a failed confirmation fails the publish
   /// (the records are durable — the same-batch retry re-claims, rewrites
   /// byte-identically, and re-confirms).
@@ -301,7 +294,6 @@ class Publisher {
   StorageService* service_;
   overlay::GossipService* gossip_;
   ParticipantId participant_;
-  bool epoch_discovery_ = true;
   uint64_t gc_keep_epochs_ = 0;
   sim::SimTime fence_after_us_ = 0;  // 0 = abandonment fencing disabled
   /// Claim-attempt nonce source: every claim round stores a fresh

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <iterator>
-#include <limits>
 #include <unordered_set>
 
 #include "common/log.h"
+#include "common/strings.h"
 
 namespace orchestra::storage {
 
@@ -35,29 +35,6 @@ StorageService::StorageService(net::NodeHost* host,
       rpc_(host, net::ServiceId::kStorage, kReply),
       store_(store_options) {
   host_->Register(net::ServiceId::kStorage, this);
-  // Every reply this node receives carries the responder's load hint; keep a
-  // timestamped per-peer view for the session's admission control.
-  rpc_.SetLoadHintHandler([this](net::NodeId peer, uint32_t hint) {
-    peer_load_[peer] =
-        PeerLoad{hint, host_->network()->simulator()->now()};
-  });
-}
-
-uint32_t StorageService::LocalLoadHint() const {
-  const net::InboxStats& inbox = host_->network()->inbox_stats(node());
-  uint64_t hint = inbox.messages + inbox.bytes / 1024 + injected_load_hint_;
-  return static_cast<uint32_t>(
-      std::min<uint64_t>(hint, std::numeric_limits<uint32_t>::max()));
-}
-
-uint32_t StorageService::MaxRecentPeerLoad(sim::SimTime window_us) const {
-  sim::SimTime now = host_->network()->simulator()->now();
-  uint32_t worst = 0;
-  // lint:allow(det-unordered-iter): max-aggregation is order-independent.
-  for (const auto& [peer, load] : peer_load_) {
-    if (now - load.at <= window_us) worst = std::max(worst, load.hint);
-  }
-  return worst;
 }
 
 // --------------------------------------------------------------------------
@@ -222,7 +199,7 @@ void StorageService::RunAfter(sim::SimTime delay, std::function<void()> fn) {
 void StorageService::Respond(net::NodeId to, uint64_t req_id, Status st,
                              std::string body) {
   net::RpcClient::SendReply(host_, to, net::ServiceId::kStorage, kReply, req_id,
-                            st, std::move(body), LocalLoadHint());
+                            st, std::move(body));
 }
 
 void StorageService::OnConnectionDrop(net::NodeId peer) {
@@ -283,15 +260,11 @@ void StorageService::OnMessage(net::NodeId from, uint16_t code,
         !r.GetVarint64(&nonce).ok()) {
       return;
     }
-    auto cur = store_.Get(keys::EpochClaim(epoch));
-    if (!cur.ok()) return;
-    Reader cr(cur.value());
-    EpochClaimRecord stored;
-    if (EpochClaimRecord::DecodeFrom(&cr, &stored).ok() &&
-        stored.participant == participant && stored.nonce == nonce &&
-        !stored.committed && !stored.fenced) {
-      // A fenced marker is NOT the releaser's to clear either: the burn must
-      // survive so the epoch stays dead for everyone.
+    auto stored = LoadClaim(epoch);
+    if (stored && stored->participant == participant &&
+        stored->nonce == nonce && stored->state == ClaimState::kClaimed) {
+      // A burn is NOT the releaser's to clear either: it must survive so the
+      // epoch stays dead for everyone.
       store_.Delete(keys::EpochClaim(epoch)).ok();
       claim_touch_.erase(epoch);
     }
@@ -459,24 +432,18 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // as a RETRYABLE error, not kFenced: the publisher keeps its epoch
       // pinned and resolves the partial burn on retry (self-fence to
       // unanimity, or recommit once a committed record heals this replica).
-      {
-        auto curc = store_.Get(keys::EpochClaim(epoch));
-        if (curc.ok()) {
-          Reader cr(curc.value());
-          EpochClaimRecord stored;
-          if (EpochClaimRecord::DecodeFrom(&cr, &stored).ok() &&
-              stored.fenced) {
-            counters_.fenced_writes_refused += 1;
-            Respond(from, req_id,
-                    Status::Unavailable("confirm at burn-promised epoch " +
-                                        std::to_string(epoch)),
-                    {});
-            return;
-          }
-        }
+      // (A purged burn is always in fenced_epochs_, refused above.)
+      auto stored = LoadClaim(epoch);
+      if (stored && stored->state == ClaimState::kBurnPromised) {
+        counters_.fenced_writes_refused += 1;
+        Respond(from, req_id,
+                Status::Unavailable("confirm at burn-promised epoch " +
+                                    std::to_string(epoch)),
+                {});
+        return;
       }
       StoreClaim(epoch, EpochClaimRecord{participant, claimant_node,
-                                         /*committed=*/true, nonce});
+                                         ClaimState::kCommitted, nonce});
       max_epoch_seen_ = std::max(max_epoch_seen_, epoch);
       claim_touch_[epoch] = host_->network()->simulator()->now();
       Respond(from, req_id, Status::OK(), {});
@@ -485,12 +452,14 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
     case kGetEpochClaim: {
       uint64_t epoch;
       if (!r->GetVarint64(&epoch).ok()) return;
-      auto bytes = store_.Get(keys::EpochClaim(epoch));
-      if (!bytes.ok()) {
-        Respond(from, req_id, bytes.status(), {});
-      } else {
-        Respond(from, req_id, Status::OK(), std::move(bytes).value());
+      auto stored = LoadClaim(epoch);
+      if (!stored) {
+        Respond(from, req_id, Status::NotFound("no epoch claim"), {});
+        return;
       }
+      Writer w;
+      stored->EncodeTo(&w);
+      Respond(from, req_id, Status::OK(), w.Release());
       return;
     }
     case kGetMaxEpoch: {
@@ -595,51 +564,37 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
           if (versioned) marked += MarkGroup(key, ve);
         };
         if (keys::Tag(key) == keys::kClaimTag) {
-          // Epoch claims merge by strength: committed > purged burn > burn
-          // promise > uncommitted claim > absent. A CONFIRMED claim replaces
-          // anything unconfirmed (the commit is a fact — including a burn
-          // promise from a fence round the commit's confirm refused
+          // Epoch claims merge by EpochClaimRecord::Merge. A pushed commit
+          // replaces anything weaker (the commit is a fact — including a
+          // burn promise from a fence round the commit's confirm refused
           // elsewhere). A PURGED burn carries purge authority and merges via
           // the phase-two path; a bare burn promise only installs the
           // marker — it must never purge, its fence round may have failed. A
-          // plain claim fills an empty slot with a conservatively-fresh
-          // clock (a pushed claim's owner gets a TTL of grace before a fence
-          // can use this replica's vote).
+          // plain claim fills an empty slot (never a burned epoch's) with a
+          // conservatively-fresh clock (a pushed claim's owner gets a TTL of
+          // grace before a fence can use this replica's vote).
           Reader vr(value);
           EpochClaimRecord pushed;
-          if (EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) {
-            EpochClaimRecord mine;
-            bool have_mine = false;
-            auto curv = store_.Get(key);
-            if (curv.ok()) {
-              Reader cr(curv.value());
-              have_mine = EpochClaimRecord::DecodeFrom(&cr, &mine).ok();
-            }
-            if (pushed.committed) {
-              if (!have_mine || !mine.committed) put(value);
-              if (versioned) {
-                max_epoch_seen_ = std::max(max_epoch_seen_, ve);
-                claim_touch_.erase(ve);
-              }
-            } else if (pushed.fenced && pushed.purged) {
-              if (versioned && (!have_mine || !mine.committed)) {
-                MergeFencedEpoch(ve, pushed.participant, pushed.nonce);
-              }
-            } else if (pushed.fenced) {
-              if (!have_mine || (!mine.committed && !mine.fenced)) {
-                put(value);
-                if (versioned) claim_touch_.erase(ve);
-              }
-            } else if (!have_mine && !curv.ok()) {
-              if (!(versioned && fenced_epochs_.count(ve) > 0)) {
-                put(value);
-                if (versioned) {
-                  claim_touch_[ve] =
-                      host_->network()->simulator()->now();
-                }
-              }
-            }
+          if (!versioned || !EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) {
+            continue;
           }
+          if (pushed.state == ClaimState::kPurged) {
+            MergeFencedEpoch(ve, pushed.participant, pushed.nonce);
+            continue;
+          }
+          if (pushed.state == ClaimState::kCommitted) {
+            max_epoch_seen_ = std::max(max_epoch_seen_, ve);
+            claim_touch_.erase(ve);
+          }
+          auto mine = LoadClaim(ve);
+          if (EpochClaimRecord::Merge(mine, pushed) == mine) continue;
+          if (pushed.state == ClaimState::kClaimed) {
+            if (fenced_epochs_.count(ve) > 0) continue;
+            claim_touch_[ve] = host_->network()->simulator()->now();
+          } else if (pushed.state == ClaimState::kBurnPromised) {
+            claim_touch_.erase(ve);
+          }
+          put(value);
           continue;
         }
         if (keys::Tag(key) == keys::kCoordTag) {
@@ -788,6 +743,15 @@ void StorageService::StorePage(const PageId& id, std::string_view page_bytes,
   }
 }
 
+std::optional<EpochClaimRecord> StorageService::LoadClaim(Epoch epoch) const {
+  auto bytes = store_.Get(keys::EpochClaim(epoch));
+  if (!bytes.ok()) return std::nullopt;
+  Reader r(bytes.value());
+  EpochClaimRecord rec;
+  if (!EpochClaimRecord::DecodeFrom(&r, &rec).ok()) return std::nullopt;
+  return rec;
+}
+
 void StorageService::StoreClaim(Epoch epoch, const EpochClaimRecord& rec) {
   Writer w;
   rec.EncodeTo(&w);
@@ -822,13 +786,13 @@ void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
     return;
   }
   ChargeCpu(host_->network()->costs().tuple_scan_us);
-  // `committed` is flipped by kConfirmEpoch once the epoch's coordinator
-  // records are all written; an idempotent re-grant preserves it (a
+  // kConfirmEpoch raises a claim to kCommitted once the epoch's coordinator
+  // records are all written; an idempotent re-grant preserves the state (a
   // publisher retrying a publish that failed after its commit round must
   // not un-commit the epoch).
-  auto grant = [&](bool committed, uint64_t stored_nonce) {
+  auto grant = [&](ClaimState state, uint64_t stored_nonce) {
     StoreClaim(epoch,
-               EpochClaimRecord{participant, claimant_node, committed, stored_nonce});
+               EpochClaimRecord{participant, claimant_node, state, stored_nonce});
     counters_.claims_granted += 1;
     // The freshness clock a fence races against: every grant (including the
     // owner's periodic refresh re-grants) resets the staleness TTL.
@@ -851,66 +815,42 @@ void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
             wb.Release());
     return;
   }
-  auto cur = store_.Get(keys::EpochClaim(epoch));
-  if (!cur.ok()) {
-    grant(false, nonce);
+  // A malformed slot reads as empty, like an absent one.
+  auto stored = LoadClaim(epoch);
+  if (!stored) {
+    grant(ClaimState::kClaimed, nonce);
     return;
   }
-  Reader cr(cur.value());
-  EpochClaimRecord stored;
-  if (!EpochClaimRecord::DecodeFrom(&cr, &stored).ok()) {
-    grant(false, nonce);  // malformed slot: treat as empty
-    return;
-  }
-  if (stored.fenced) {
-    counters_.claims_refused += 1;
-    Writer wb;
-    wb.PutVarint32(stored.participant);
-    wb.PutVarint32(stored.node);
-    wb.PutVarint64(stored.nonce);
-    if (stored.purged) {
-      // Authoritative burn (the fence reached unanimity): refused for
-      // EVERYONE, owner included (a zombie resurrecting its fenced epoch is
-      // exactly what the burn prevents). Contenders skip past it.
-      Respond(from, req_id,
-              Status::Fenced("epoch " + std::to_string(epoch) +
-                             " burned by abandonment fencing"),
-              wb.Release());
-    } else {
-      // Bare burn promise (a fence round touched this replica; unanimity
-      // unknown — the epoch may yet commit through a heal, or harden to a
-      // purged burn). Refuse like an ordinary taken slot so the requester
-      // waits and resolves it through the probe/fence machinery instead of
-      // skipping an epoch that might still commit. Deliberately NO owner
-      // re-grant here: silently clearing the promise would reopen the
-      // confirm-vs-fence race the promise exists to close — the owner
-      // retires its own instance with a self-fence instead.
-      Respond(from, req_id,
-              Status::EpochTaken("epoch " + std::to_string(epoch) +
-                                 " burn-promised under participant " +
-                                 std::to_string(stored.participant)),
-              wb.Release());
-    }
-    return;
-  }
-  if (stored.participant == participant) {
+  // A purged burn is always in fenced_epochs_ (refused above). A bare burn
+  // promise (a fence round touched this replica; unanimity unknown — the
+  // epoch may yet commit through a heal, or harden to a purged burn) is
+  // refused like an ordinary taken slot so the requester waits and resolves
+  // it through the probe/fence machinery instead of skipping an epoch that
+  // might still commit. Deliberately NO owner re-grant for it: silently
+  // clearing the promise would reopen the confirm-vs-fence race the promise
+  // exists to close — the owner retires its own instance with a self-fence
+  // instead.
+  const bool promised = stored->state == ClaimState::kBurnPromised;
+  if (!promised && stored->participant == participant) {
     // Idempotent re-grant. The stored nonce only moves FORWARD (attempt
     // nonces are monotonic per publisher): a DELAYED claim from an old
     // attempt must not roll the instance back, or the old attempt's equally
     // delayed release could match again and unpin the epoch the newest
     // attempt is writing at.
-    grant(stored.committed, std::max(stored.nonce, nonce));
+    grant(stored->state, std::max(stored->nonce, nonce));
     return;
   }
   counters_.claims_refused += 1;
   Writer wb;
-  wb.PutVarint32(stored.participant);
-  wb.PutVarint32(stored.node);
-  wb.PutVarint64(stored.nonce);
+  wb.PutVarint32(stored->participant);
+  wb.PutVarint32(stored->node);
+  wb.PutVarint64(stored->nonce);
   Respond(from, req_id,
-          Status::EpochTaken("epoch " + std::to_string(epoch) +
-                             " claimed by participant " +
-                             std::to_string(stored.participant)),
+          Status::EpochTaken(StrCat({"epoch ", std::to_string(epoch),
+                                     promised ? " burn-promised under"
+                                              : " claimed by",
+                                     " participant ",
+                                     std::to_string(stored->participant)})),
           wb.Release());
 }
 
@@ -951,13 +891,7 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
     return;
   }
   ChargeCpu(host_->network()->costs().tuple_scan_us);
-  EpochClaimRecord stored;
-  bool have = false;
-  auto cur = store_.Get(keys::EpochClaim(epoch));
-  if (cur.ok()) {
-    Reader cr(cur.value());
-    have = EpochClaimRecord::DecodeFrom(&cr, &stored).ok();
-  }
+  auto stored = LoadClaim(epoch);
   auto grant = [&](const EpochClaimRecord& inst) {
     counters_.fences_granted += 1;
     Writer wb;
@@ -966,8 +900,9 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
     wb.PutVarint64(inst.nonce);
     Respond(from, req_id, Status::OK(), wb.Release());
   };
-  if (have && stored.fenced) {
-    grant(stored);
+  if (stored && (stored->state == ClaimState::kBurnPromised ||
+                 stored->state == ClaimState::kPurged)) {
+    grant(*stored);
     return;
   }
   auto refuse = [&](Status st) {
@@ -979,16 +914,16 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
                               " is at or behind the confirmed frontier"));
     return;
   }
-  if (have && stored.committed) {
+  if (stored && stored->state == ClaimState::kCommitted) {
     refuse(Status::EpochTaken("fence refused: epoch " + std::to_string(epoch) +
                               " committed by participant " +
-                              std::to_string(stored.participant)));
+                              std::to_string(stored->participant)));
     return;
   }
-  if (have && stored.participant != fenced_participant) {
+  if (stored && stored->participant != fenced_participant) {
     refuse(Status::EpochTaken(
         "fence refused: epoch " + std::to_string(epoch) + " now held by " +
-        std::to_string(stored.participant) + ", not " +
+        std::to_string(stored->participant) + ", not " +
         std::to_string(fenced_participant)));
     return;
   }
@@ -996,7 +931,7 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
   // partial burn it can neither commit through nor safely abandon) waives
   // the freshness check: the clock protects the owner, and the owner is the
   // requester.
-  if (have && fencer != fenced_participant) {
+  if (stored && fencer != fenced_participant) {
     auto touch = claim_touch_.find(epoch);
     sim::SimTime now = host_->network()->simulator()->now();
     if (touch == claim_touch_.end()) {
@@ -1016,14 +951,8 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
       return;
     }
   }
-  EpochClaimRecord burned;
-  if (have) {
-    burned = stored;
-  } else {
-    burned.participant = fenced_participant;
-  }
-  burned.committed = false;
-  burned.fenced = true;
+  EpochClaimRecord burned = stored.value_or(EpochClaimRecord{fenced_participant});
+  burned.state = ClaimState::kBurnPromised;
   StoreClaim(epoch, burned);
   claim_touch_.erase(epoch);
   grant(burned);
@@ -1031,35 +960,24 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
 
 void StorageService::MergeFencedEpoch(Epoch epoch, ParticipantId participant,
                                       uint64_t nonce) {
-  EpochClaimRecord stored;
-  bool have = false;
-  auto cur = store_.Get(keys::EpochClaim(epoch));
-  if (cur.ok()) {
-    Reader cr(cur.value());
-    have = EpochClaimRecord::DecodeFrom(&cr, &stored).ok();
-  }
+  auto stored = LoadClaim(epoch);
   // A commit is a fact a fence never overrides: if this replica learned the
   // epoch committed (the fence round and a confirm round can interleave at
   // DIFFERENT replicas; both then fail their callers), keep the commit.
-  if (have && stored.committed) return;
-  if (fenced_epochs_.count(epoch) > 0) return;
-  fenced_epochs_[epoch] = FencedInstance{participant, nonce};
-  claim_touch_.erase(epoch);
-  // Persist the burn WITH purge authority (`purged`) so a restart re-learns
-  // both facts and replica pushes propagate them (the marker replicates like
-  // any claim record). Purge authority is what distinguishes this phase-two
-  // entry point from a fence grant's burn promise: callers reach here only
-  // downstream of a unanimously granted fence round.
-  EpochClaimRecord burned;
-  if (have) {
-    burned = stored;
-  } else {
-    burned.participant = participant;
-    burned.nonce = nonce;
+  if (stored && stored->state == ClaimState::kCommitted) return;
+  if (!fenced_epochs_.emplace(epoch, FencedInstance{participant, nonce}).second) {
+    return;
   }
-  burned.committed = false;
-  burned.fenced = true;
-  burned.purged = true;
+  claim_touch_.erase(epoch);
+  // Persist the burn as kPurged so a restart re-learns it and replica pushes
+  // propagate it (the marker replicates like any claim record). Purge
+  // authority is what distinguishes this phase-two entry point from a fence
+  // grant's burn promise: callers reach here only downstream of a
+  // unanimously granted fence round. A stored record keeps naming its own
+  // instance.
+  EpochClaimRecord burned =
+      stored.value_or(EpochClaimRecord{participant, 0, ClaimState::kClaimed, nonce});
+  burned.state = ClaimState::kPurged;
   StoreClaim(epoch, burned);
   PurgeEpochLocal(epoch);
 }
@@ -1849,22 +1767,25 @@ void StorageService::OnRestart() {
        it.Valid(); it.Next()) {
     Epoch e;
     if (!keys::ParseClaim(it.key(), &e)) continue;
-    Reader vr(it.value());
-    EpochClaimRecord rec;
-    if (!EpochClaimRecord::DecodeFrom(&vr, &rec).ok()) continue;
-    if (rec.committed) {
-      max_epoch_seen_ = std::max(max_epoch_seen_, e);
-    } else if (rec.fenced) {
-      // Burns are durable. Only PURGED burns re-enter the purge-authority
-      // table — a bare burn promise (partial fence round) keeps refusing
-      // claims/confirms through the record itself but must never purge.
-      if (rec.purged) {
-        fenced_epochs_[e] = FencedInstance{rec.participant, rec.nonce};
-      }
-    } else {
-      // Conservative freshness seed: a replica restart must not make a LIVE
-      // claim owner look stale — its next refresh re-arms the clock anyway.
-      claim_touch_[e] = now;
+    auto rec = LoadClaim(e);
+    if (!rec) continue;
+    switch (rec->state) {
+      case ClaimState::kCommitted:
+        max_epoch_seen_ = std::max(max_epoch_seen_, e);
+        break;
+      case ClaimState::kPurged:
+        // Burns are durable. Only PURGED burns re-enter the purge-authority
+        // table — a bare burn promise (partial fence round) keeps refusing
+        // claims/confirms through the record itself but must never purge.
+        fenced_epochs_[e] = FencedInstance{rec->participant, rec->nonce};
+        break;
+      case ClaimState::kBurnPromised:
+        break;
+      case ClaimState::kClaimed:
+        // Conservative freshness seed: a replica restart must not make a
+        // LIVE claim owner look stale — its next refresh re-arms the clock.
+        claim_touch_[e] = now;
+        break;
     }
   }
   gc_watermark_ = 0;

@@ -79,11 +79,12 @@ enum StorageCode : uint16_t {
   // break under membership churn): a wedged epoch is unwedged by its own
   // participant's retry or instance-exact release only.
   kClaimEpoch = 15,
-  kGetEpochClaim = 16,   // read back (participant, node, committed) of a claim
+  kGetEpochClaim = 16,   // read back a claim's stored EpochClaimRecord
+                         // (participant, node, ClaimState, nonce)
   kReleaseEpoch = 17,    // one-way: delete own claim (failed publish cleanup)
   // Commit confirmation: after ALL coordinator records of an epoch are
-  // written, the publisher flips its claim's `committed` flag on the claim
-  // replicas. kGetMaxEpoch reports only CONFIRMED epochs, so a publisher's
+  // written, the publisher raises its claim to ClaimState::kCommitted on the
+  // claim replicas. kGetMaxEpoch reports only CONFIRMED epochs, so a publisher's
   // discovered base is always a fully committed epoch — partial coordinator
   // records of torn publishes can no longer inflate discovery and leak
   // uncommitted content into other writers' bases.
@@ -91,11 +92,13 @@ enum StorageCode : uint16_t {
   // Abandonment fencing: after a claim has sat uncommitted and untouched for
   // the requester-supplied staleness TTL, any participant may BURN the epoch.
   // Body: epoch, fencer participant, fenced participant (the stored owner the
-  // fencer observed), ttl_us. A grant marks the claim record fenced — nobody
-  // (including the abandoned owner) can ever claim, write, or confirm at
-  // that epoch again — and atomically purges the owner's orphan versions
-  // (data/page/coordinator records at that epoch, plus inverse entries that
-  // pointed at them). Refused while the owner is fresh (its claim refreshes
+  // fencer observed), ttl_us. A grant stores a kBurnPromised record: this
+  // replica refuses every claim and confirm at the epoch, but deletes
+  // nothing, since the round may still be refused elsewhere. Only the
+  // fencer's kPurgeEpoch after a unanimous round makes the burn kPurged and
+  // purges the owner's orphan versions (data/page/coordinator records at
+  // that epoch, plus inverse entries that pointed at them). Refused while
+  // the owner is fresh (its claim refreshes
   // beat the TTL), once the epoch committed, when the slot changed hands, or
   // behind the confirmed frontier. The reply body names the fenced instance
   // (participant, node, nonce). Safety rides the same single-failure overlap
@@ -205,19 +208,6 @@ class StorageService : public net::Service {
   size_t active_scan_count() const { return scans_.size(); }
   const net::RpcClient::Counters& rpc_counters() const { return rpc_.counters(); }
 
-  // --- Admission control ----------------------------------------------------
-  /// This node's load measure, advertised in every RPC reply it sends:
-  /// queued inbox deliveries plus queued kilobytes (so a few huge frames
-  /// count like many small ones), plus any injected test load.
-  uint32_t LocalLoadHint() const;
-  /// Test/bench hook: adds a synthetic component to the advertised hint so
-  /// backpressure can be exercised without constructing a real overload.
-  void InjectLoadHint(uint32_t extra) { injected_load_hint_ = extra; }
-  /// The highest load hint any peer reported within the trailing window
-  /// (default 2 s of simulated time) — what a client::Session throttles on.
-  uint32_t MaxRecentPeerLoad(
-      sim::SimTime window_us = 2 * sim::kMicrosPerSec) const;
-
   // --- Distributed reads ----------------------------------------------------
   /// Fetches the coordinator record for (rel, epoch), retrying replicas.
   void GetCoordinator(const std::string& rel, Epoch epoch,
@@ -280,8 +270,9 @@ class StorageService : public net::Service {
   /// (durable) store after a Recover().
   void OnRestart();
 
-  /// True if `e` is known burned on this node (fence granted here, learned
-  /// via kPurgeEpoch, or rebuilt from the durable fenced claim record).
+  /// True if `e` is a known purged burn on this node (learned via
+  /// kPurgeEpoch or a replica push, or rebuilt from a durable kPurged claim
+  /// record).
   bool IsEpochFenced(Epoch e) const { return fenced_epochs_.count(e) > 0; }
   size_t fenced_epoch_count() const { return fenced_epochs_.size(); }
 
@@ -444,12 +435,15 @@ class StorageService : public net::Service {
   /// WITHOUT applying the effective watermark — bulk callers (replica push)
   /// merge everything first and advance once.
   void MergeParticipantMark(ParticipantId p, Epoch mark);
+  /// The stored claim record for `epoch`; nullopt when the slot is absent
+  /// or malformed. Every read of a stored claim goes through here.
+  std::optional<EpochClaimRecord> LoadClaim(Epoch epoch) const;
   /// Writes the claim record for `epoch` and marks the claim family.
   void StoreClaim(Epoch epoch, const EpochClaimRecord& rec);
   void HandleClaimEpoch(net::NodeId from, Reader* r, uint64_t req_id);
   void HandleFenceEpoch(net::NodeId from, Reader* r, uint64_t req_id);
   /// Records `epoch` as burned (fenced instance = participant/nonce), stores
-  /// the durable fenced claim marker, and purges local orphan versions — a
+  /// its claim record as kPurged, and purges local orphan versions — a
   /// no-op if the local claim committed (a commit is a fact a fence never
   /// overrides) or the burn is already known.
   void MergeFencedEpoch(Epoch epoch, ParticipantId participant, uint64_t nonce);
@@ -494,14 +488,6 @@ class StorageService : public net::Service {
   std::set<std::string> gc_due_;
   bool gc_task_queued_ = false;
   uint64_t gc_generation_ = 0;  // restart guard for a queued task
-  // Admission control: latest load hint per peer (timestamped so stale
-  // reports age out) and the synthetic test component of our own hint.
-  struct PeerLoad {
-    uint32_t hint = 0;
-    sim::SimTime at = 0;
-  };
-  std::unordered_map<net::NodeId, PeerLoad> peer_load_;
-  uint32_t injected_load_hint_ = 0;
   // Multi-writer GC: latest watermark advertised per participant, with the
   // sim time it was heard (entries expire after kParticipantMarkTtlUs).
   struct ParticipantMark {
@@ -514,8 +500,9 @@ class StorageService : public net::Service {
   // for surviving uncommitted claims on restart (conservative: a replica
   // restart must not make a live owner look stale). Transient by design.
   std::map<Epoch, sim::SimTime> claim_touch_;
-  // Burned epochs with the fenced instance (for instance-exact zombie write
-  // refusals). Durable via the fenced claim record; rebuilt on restart and
+  // The hot-path cache of purged burns, with the fenced instance (for
+  // instance-exact zombie write refusals). Holds every epoch whose stored
+  // claim is kPurged. Durable via those records; rebuilt on restart and
   // re-taught by the replica-push piggyback. Never pruned — fences are rare
   // and a retained entry keeps a stale push from resurrecting orphans.
   std::map<Epoch, FencedInstance> fenced_epochs_;

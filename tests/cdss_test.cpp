@@ -126,6 +126,24 @@ TEST_F(CdssTest, MultipleEpochsAccumulate) {
   EXPECT_EQ(report->tuples_imported, 2u);
 }
 
+// Participant::Publish submits through the node's client::Session: a second
+// publish from the same participant commits at the very next epoch, and an
+// import at that epoch sees both.
+TEST_F(CdssTest, SecondPublishLandsAtTheNextEpoch) {
+  alice->LocalInsert("my_genes", {Value("A1"), Value("f1")});
+  auto first = alice->Publish();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  alice->LocalInsert("my_genes", {Value("A2"), Value("f2")});
+  auto second = alice->Publish();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(*second, *first + 1);
+  EXPECT_EQ(dep->session(0).stats().committed, 2u);
+  auto report = bob->Import();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->epoch, *second);
+  EXPECT_EQ(report->tuples_imported, 2u);
+}
+
 TEST_F(CdssTest, PublishNothingFails) {
   EXPECT_FALSE(alice->Publish().ok());
 }

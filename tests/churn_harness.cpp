@@ -28,6 +28,16 @@ using storage::Value;
 constexpr const char* kRelations[] = {"churn_a", "churn_b"};
 constexpr size_t kNumRelations = 2;
 
+const char* ClaimStateName(storage::ClaimState state) {
+  switch (state) {
+    case storage::ClaimState::kCommitted: return "committed";
+    case storage::ClaimState::kPurged: return "purged";
+    case storage::ClaimState::kBurnPromised: return "burn-promised";
+    case storage::ClaimState::kClaimed: return "claimed";
+  }
+  return "?";
+}
+
 /// Key -> payload string; the reference state of one relation.
 using ModelState = std::map<int64_t, std::string>;
 
@@ -527,10 +537,9 @@ struct Driver {
         storage::EpochClaimRecord rec;
         Reader r(it.value());
         if (!storage::EpochClaimRecord::DecodeFrom(&r, &rec).ok()) continue;
-        Trace("claim node=%u ep=%llu owner=%u from=%u committed=%d fenced=%d "
-              "nonce=%llu",
-              n, static_cast<unsigned long long>(e), rec.participant, rec.node,
-              rec.committed ? 1 : 0, rec.fenced ? 1 : 0,
+        Trace("claim node=%u ep=%llu owner=%u from=%u %s nonce=%llu", n,
+              static_cast<unsigned long long>(e), rec.participant, rec.node,
+              ClaimStateName(rec.state),
               static_cast<unsigned long long>(rec.nonce));
       }
     }

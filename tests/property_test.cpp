@@ -5,11 +5,14 @@
 //  * distributed execution returns the same bag as a single-node reference
 //    for arbitrary select-project-join-aggregate plans (§V);
 //  * replication keeps every epoch readable after a node failure;
-//  * a page version shipped as a delta is rebuilt byte-identically.
+//  * a page version shipped as a delta is rebuilt byte-identically;
+//  * epoch claims merge as a lattice (EpochClaimRecord::Merge) that keeps
+//    the replica-push outcomes of the earlier three-flag claim record.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/rng.h"
@@ -407,7 +410,10 @@ TEST_P(GcIndexProperty, RetiresExactlyWhatAWholeStorePassWould) {
       return keys::Data("R", storage::TupleKeyHash(k), k, e);
     };
     auto claim_bytes = [](bool committed) {
-      storage::EpochClaimRecord rec{1, 0, committed, 1};
+      storage::EpochClaimRecord rec{
+          1, 0,
+          committed ? storage::ClaimState::kCommitted : storage::ClaimState::kClaimed,
+          1};
       Writer w;
       rec.EncodeTo(&w);
       return w.Release();
@@ -547,6 +553,224 @@ TEST_P(GcIndexProperty, RetiresExactlyWhatAWholeStorePassWould) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GcIndexProperty, ::testing::Values(1, 2, 3, 4));
+
+// ---------------------------------------------------------------------------
+// The claim-state lattice: EpochClaimRecord::Merge and the replica-push merge
+// reproduce the earlier three-flag table (committed, fenced, purged) over
+// every (stored slot, pushed record) pair.
+
+using storage::ClaimState;
+using storage::EpochClaimRecord;
+
+constexpr ClaimState kAllStates[] = {ClaimState::kClaimed, ClaimState::kBurnPromised,
+                                     ClaimState::kPurged, ClaimState::kCommitted};
+constexpr Epoch kLatticeEpoch = 5;
+
+/// A claim slot as a replica stores it: nothing, undecodable bytes, a
+/// record, or nothing left of a purged burn whose record GC retired (the
+/// fenced-epoch table still holds the epoch).
+struct ClaimSlot {
+  enum Kind { kAbsent, kMalformed, kRecord, kRetiredBurn } kind = kAbsent;
+  EpochClaimRecord rec;
+  bool operator==(const ClaimSlot&) const = default;
+};
+
+std::vector<ClaimSlot> AllStoredSlots() {
+  std::vector<ClaimSlot> out = {ClaimSlot{ClaimSlot::kAbsent, {}},
+                                ClaimSlot{ClaimSlot::kMalformed, {}},
+                                ClaimSlot{ClaimSlot::kRetiredBurn, {}}};
+  for (ClaimState st : kAllStates) {
+    out.push_back(ClaimSlot{ClaimSlot::kRecord, EpochClaimRecord{3, 1, st, 7}});
+  }
+  return out;
+}
+
+/// The pushed record: a different instance than any stored one, so which
+/// record survives a merge is observable.
+EpochClaimRecord Pushed(ClaimState st) { return EpochClaimRecord{5, 2, st, 9}; }
+
+// The earlier record's three flags.
+struct FlagClaim {
+  bool committed = false;
+  bool fenced = false;
+  bool purged = false;
+};
+
+FlagClaim ToFlags(ClaimState st) {
+  switch (st) {
+    case ClaimState::kCommitted: return {true, false, false};
+    case ClaimState::kPurged: return {false, true, true};
+    case ClaimState::kBurnPromised: return {false, true, false};
+    case ClaimState::kClaimed: break;
+  }
+  return {};
+}
+
+/// Reference: the replica-push branch table as it stood over three flags,
+/// with MergeFencedEpoch inlined. A replica's fenced-epoch table holds
+/// its purged burns, retired or not.
+ClaimSlot FlagTableMerge(const ClaimSlot& slot, const EpochClaimRecord& pushed_rec) {
+  const FlagClaim pushed = ToFlags(pushed_rec.state);
+  const bool have_mine = slot.kind == ClaimSlot::kRecord;
+  const bool present = slot.kind == ClaimSlot::kMalformed || have_mine;
+  const FlagClaim mine = have_mine ? ToFlags(slot.rec.state) : FlagClaim{};
+  const bool fenced_table =
+      (have_mine && mine.fenced && mine.purged) || slot.kind == ClaimSlot::kRetiredBurn;
+  ClaimSlot out = slot;
+  auto put = [&] { out = ClaimSlot{ClaimSlot::kRecord, pushed_rec}; };
+  if (pushed.committed) {
+    if (!have_mine || !mine.committed) put();
+  } else if (pushed.fenced && pushed.purged) {
+    if (!have_mine || !mine.committed) {
+      if (!fenced_table) {  // MergeFencedEpoch(ve, participant, nonce)
+        EpochClaimRecord burned =
+            have_mine ? slot.rec
+                      : EpochClaimRecord{pushed_rec.participant, 0,
+                                         ClaimState::kClaimed, pushed_rec.nonce};
+        burned.state = ClaimState::kPurged;
+        out = ClaimSlot{ClaimSlot::kRecord, burned};
+      }
+    }
+  } else if (pushed.fenced) {
+    if (!have_mine || (!mine.committed && !mine.fenced)) put();
+  } else if (!have_mine && !present) {
+    if (!fenced_table) put();
+  }
+  return out;
+}
+
+bool MalformedUnderPlainClaim(const ClaimSlot& slot, ClaimState pushed) {
+  return slot.kind == ClaimSlot::kMalformed && pushed == ClaimState::kClaimed;
+}
+
+TEST(ClaimLattice, MergeMatchesTheFlagTable) {
+  for (const ClaimSlot& slot : AllStoredSlots()) {
+    // The fenced-epoch table, not Merge, guards a retired burn's empty slot.
+    if (slot.kind == ClaimSlot::kRetiredBurn) continue;
+    // LoadClaim's view: a malformed slot reads as absent.
+    std::optional<EpochClaimRecord> mine;
+    if (slot.kind == ClaimSlot::kRecord) mine = slot.rec;
+    for (ClaimState st : kAllStates) {
+      SCOPED_TRACE(StrCat({"stored kind ", std::to_string(slot.kind), " state ",
+                           std::to_string(static_cast<int>(slot.rec.state)),
+                           ", pushed ", std::to_string(static_cast<int>(st))}));
+      const EpochClaimRecord pushed = Pushed(st);
+      const EpochClaimRecord merged = EpochClaimRecord::Merge(mine, pushed);
+      const ClaimSlot ref = FlagTableMerge(slot, pushed);
+      if (MalformedUnderPlainClaim(slot, st)) {
+        // The one moved cell: the flag table left a malformed slot alone
+        // under a plain claim, while the claim handler already granted over
+        // one. Both now read it as empty.
+        EXPECT_EQ(ref.kind, ClaimSlot::kMalformed);
+        EXPECT_EQ(merged, pushed);
+        continue;
+      }
+      ASSERT_EQ(ref.kind, ClaimSlot::kRecord);
+      EXPECT_EQ(merged.state, ref.rec.state);
+      // A purged burn raises the stored record in place (it keeps naming its
+      // own instance); every other cell keeps or takes a whole record.
+      if (st != ClaimState::kPurged) {
+        EXPECT_EQ(merged, ref.rec);
+      }
+    }
+  }
+}
+
+TEST(ClaimLattice, ReplicaPushStoresWhatTheFlagTableStored) {
+  for (const ClaimSlot& slot : AllStoredSlots()) {
+    for (ClaimState st : kAllStates) {
+      SCOPED_TRACE(StrCat({"stored kind ", std::to_string(slot.kind), " state ",
+                           std::to_string(static_cast<int>(slot.rec.state)),
+                           ", pushed ", std::to_string(static_cast<int>(st))}));
+      deploy::DeploymentOptions opts;
+      opts.num_nodes = 1;
+      opts.replication = 1;
+      deploy::Deployment dep(opts);
+      StorageService& svc = dep.storage(0);
+      const std::string key = keys::EpochClaim(kLatticeEpoch);
+      if (slot.kind == ClaimSlot::kMalformed) {
+        // participant 3, node 1, state byte 9: no such state.
+        ASSERT_TRUE(svc.store().Put(key, std::string("\x03\x01\x09\x07")).ok());
+      } else if (slot.kind != ClaimSlot::kAbsent) {
+        EpochClaimRecord rec = slot.rec;
+        if (slot.kind == ClaimSlot::kRetiredBurn) rec.state = ClaimState::kPurged;
+        Writer w;
+        rec.EncodeTo(&w);
+        ASSERT_TRUE(svc.store().Put(key, w.data()).ok());
+      }
+      svc.OnRestart();  // rebuilds the fenced-epoch table from the records
+      if (slot.kind == ClaimSlot::kRetiredBurn) {
+        ASSERT_TRUE(svc.store().Delete(key).ok());
+      }
+
+      const EpochClaimRecord pushed = Pushed(st);
+      Writer value;
+      pushed.EncodeTo(&value);
+      Writer b;
+      b.PutU64(1);       // request id
+      b.PutVarint64(0);  // no participant marks
+      b.PutVarint64(0);  // no fenced epochs
+      b.PutVarint64(1);
+      b.PutString(key);
+      b.PutString(value.data());
+      svc.OnMessage(0, storage::kReplicaPush, b.data());
+
+      ClaimSlot got;
+      auto bytes = svc.store().Get(key);
+      if (bytes.ok()) {
+        Reader r(bytes.value());
+        got.kind = EpochClaimRecord::DecodeFrom(&r, &got.rec).ok()
+                       ? ClaimSlot::kRecord
+                       : ClaimSlot::kMalformed;
+      }
+      ClaimSlot want = FlagTableMerge(slot, pushed);
+      if (MalformedUnderPlainClaim(slot, st)) {
+        want = ClaimSlot{ClaimSlot::kRecord, pushed};
+      }
+      if (want.kind == ClaimSlot::kRetiredBurn) want = ClaimSlot{};
+      if (got.kind == ClaimSlot::kMalformed) got.rec = {};
+      if (want.kind == ClaimSlot::kMalformed) want.rec = {};
+      EXPECT_EQ(got, want);
+      // The fenced-epoch table only grows: it keeps a purged burn even
+      // after a pushed commit replaced the record.
+      auto purged = [](const ClaimSlot& c) {
+        return c.kind == ClaimSlot::kRecord && c.rec.state == ClaimState::kPurged;
+      };
+      EXPECT_EQ(svc.IsEpochFenced(kLatticeEpoch),
+                purged(slot) || purged(want) || slot.kind == ClaimSlot::kRetiredBurn);
+    }
+  }
+}
+
+TEST(ClaimLattice, MergeIsAJoinThatKeepsTheStoredRecordOnTies) {
+  // Two instances per state, so tie-keeping is observable.
+  std::vector<EpochClaimRecord> recs;
+  for (ClaimState st : kAllStates) {
+    recs.push_back(EpochClaimRecord{3, 1, st, 7});
+    recs.push_back(EpochClaimRecord{5, 2, st, 9});
+  }
+  auto merge = [](const EpochClaimRecord& a, const EpochClaimRecord& b) {
+    return EpochClaimRecord::Merge(a, b);
+  };
+  for (const auto& a : recs) {
+    EXPECT_EQ(merge(a, a), a);                            // idempotent
+    EXPECT_EQ(EpochClaimRecord::Merge(std::nullopt, a), a);  // absent is bottom
+    for (const auto& b : recs) {
+      // Commutative up to tie-keeping: the state never depends on the
+      // order, and only a tie lets the order pick the record.
+      EXPECT_EQ(merge(a, b).state, merge(b, a).state);
+      EXPECT_EQ(merge(a, b).state, std::max(a.state, b.state));
+      if (a.state != b.state) {
+        EXPECT_EQ(merge(a, b), merge(b, a));
+      } else {
+        EXPECT_EQ(merge(a, b), a);
+      }
+      for (const auto& c : recs) {
+        EXPECT_EQ(merge(merge(a, b), c), merge(a, merge(b, c)));  // associative
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Determinism: the whole distributed pipeline is reproducible bit-for-bit.

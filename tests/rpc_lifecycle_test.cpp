@@ -59,7 +59,7 @@ class RpcLifecycleTest : public ::testing::Test {
 
 // The headline regression: N publish/retrieve rounds leave every pending-call
 // table empty and no completion callback alive.
-TEST_F(RpcLifecycleTest, PublishBatchesDrainPendingTables) {
+TEST_F(RpcLifecycleTest, PublishRoundsDrainPendingTables) {
   constexpr int kBatches = 8;
   auto dep = MakeCluster();
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
@@ -139,8 +139,8 @@ TEST_F(RpcLifecycleTest, KillNodeReleasesDeadNodesOwnState) {
   UpdateBatch batch;
   batch["R"] = {Update::Insert(Row("a", "1")), Update::Insert(Row("b", "2"))};
   bool fired = false;
-  dep->publisher(2).PublishBatch(std::move(batch),
-                                 [&](Status, Epoch) { fired = true; });
+  dep->publisher(2).PublishChained(std::move(batch), nullptr,
+                                   [&](Status, Epoch) { fired = true; });
   EXPECT_GT(dep->storage(2).pending_rpc_count(), 0u);  // in flight
 
   dep->KillNode(2);
@@ -200,8 +200,8 @@ TEST_F(RpcLifecycleTest, TeardownReleasesOutstandingCallbacks) {
   UpdateBatch batch;
   batch["R"] = {Update::Insert(Row("a", "1"))};
   bool fired = false;
-  dep->publisher(0).PublishBatch(std::move(batch),
-                                 [&](Status, Epoch) { fired = true; });
+  dep->publisher(0).PublishChained(std::move(batch), nullptr,
+                                   [&](Status, Epoch) { fired = true; });
   EXPECT_GT(dep->PendingRpcCount(), 0u);  // in flight, sim not stepped
   dep.reset();
   EXPECT_FALSE(fired);

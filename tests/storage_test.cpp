@@ -1267,7 +1267,7 @@ TEST_F(FencingTest, FenceGrantIsAPromiseUntilPurged) {
   EXPECT_TRUE(burned.first.IsFenced()) << burned.first.ToString();
   EXPECT_TRUE(
       Rpc(1, kConfirmEpoch, ConfirmBody(100, 7, 0, 1)).first.IsFenced());
-  // The stored record carries both facts durably: burned AND purged.
+  // The stored record carries the hardened burn durably.
   auto [got, bytes] = Rpc(1, kGetEpochClaim, [] {
     Writer gw;
     gw.PutVarint64(100);
@@ -1277,9 +1277,7 @@ TEST_F(FencingTest, FenceGrantIsAPromiseUntilPurged) {
   Reader cr(bytes);
   EpochClaimRecord stored;
   ASSERT_TRUE(EpochClaimRecord::DecodeFrom(&cr, &stored).ok());
-  EXPECT_TRUE(stored.fenced);
-  EXPECT_TRUE(stored.purged);
-  EXPECT_FALSE(stored.committed);
+  EXPECT_EQ(stored.state, ClaimState::kPurged);
   EXPECT_EQ(stored.participant, 7u);
 }
 
