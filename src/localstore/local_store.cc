@@ -486,10 +486,6 @@ LocalStore::Iterator LocalStore::SeekPrefix(std::string_view prefix) const {
   return Iterator(this, leaf, idx, PrefixUpperBound(prefix));
 }
 
-bool LocalStore::WithinPrefix(const Iterator& it, std::string_view prefix) {
-  return it.Valid() && it.key().substr(0, prefix.size()) == prefix;
-}
-
 void LocalStore::IndexLiveRecord(uint64_t pos) {
   live_.push_back(pos);
   auto live_idx = static_cast<uint32_t>(live_.size() - 1);

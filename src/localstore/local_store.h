@@ -159,9 +159,6 @@ class LocalStore {
   /// first such key, and Valid() turns false past the computed end bound
   /// (the smallest key greater than every key with the prefix).
   Iterator SeekPrefix(std::string_view prefix) const;
-  /// True while `it` is valid and still within `prefix`. Compatibility shim:
-  /// with SeekPrefix's end bound this is equivalent to it.Valid().
-  static bool WithinPrefix(const Iterator& it, std::string_view prefix);
 
   /// Smallest string greater than every string with the given prefix, or ""
   /// if no such bound exists (prefix is empty or all-0xFF).

@@ -641,13 +641,8 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& p
   // batch, to be pushed into the plan there. Ownership routes on the
   // page-carried hashes.
   ScanState& ss = ex.scans[scan_op];
-  storage::Page local_part;
-  local_part.desc = page.desc;
-  auto take_local = [&local_part, &page](size_t i) {
-    local_part.ids.push_back(page.ids[i]);
-    local_part.hashes.push_back(page.hashes[i]);
-  };
-  std::string hb;  // reused 20-byte scratch: no per-id allocation
+  ex.cx.charge(costs.index_entry_us * static_cast<double>(page.ids.size()));
+  storage::keys::IdListWriter local;
   for (size_t i = 0; i < page.ids.size(); ++i) {
     const storage::TupleId& id = page.ids[i];
     if (!op.key_filter.Matches(id.key_bytes)) continue;
@@ -655,56 +650,29 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& p
       continue;
     }
     if (broadcast) {
-      take_local(i);
+      local.Add(page.hashes[i], id);
       continue;
     }
     net::NodeId owner = ex.table.OwnerOf(page.hashes[i]);
     if (replicated) {
       // Every node holds the data; the hash owner injects, others skip.
-      if (owner == node()) take_local(i);
+      if (owner == node()) local.Add(page.hashes[i], id);
       continue;
     }
     if (owner == node() || (owner < ex.cx.failed.size() && ex.cx.failed.Test(owner))) {
       // Ours, or the data owner already failed under this table: read from
       // the local replica or fetch from another replica.
-      take_local(i);
+      local.Add(page.hashes[i], id);
       continue;
     }
-    // hash(20B BE) + TupleId, so the data node reads without SHA-1.
-    ScanState::FetchBatch& batch = ss.batches[owner];
-    hb.clear();
-    page.hashes[i].AppendBigEndian(&hb);
-    batch.ids.PutRaw(hb.data(), hb.size());
-    id.EncodeTo(&batch.ids);
-    if (++batch.count >= ex.block_rows) SendFetch(ex, scan_op, owner, /*final=*/false);
+    storage::keys::IdListWriter& batch = ss.batches[owner];
+    batch.Add(page.hashes[i], id);
+    if (batch.count() >= ex.block_rows) SendFetch(ex, scan_op, owner, /*final=*/false);
   }
-
-  std::vector<storage::TupleId> missing;
-  if (!local_part.ids.empty()) {
-    // (Partial rescans often have nothing local in a page; skipping the
-    // ordered pass keeps recovery's fixed cost proportional to lost data.)
-    storage_->ScanPageLocal(
-        op.relation, local_part, op.key_filter,
-        [this, &ex, scan_op](const storage::TupleId& /*id*/, Tuple t) {
-          InjectScanRow(ex, scan_op, std::move(t),
-                        SingletonTaint(ex.cx.taint_bits, node()));
-        },
-        &missing).ok();
-  }
-  for (const storage::TupleId& id : missing) {
-    ss.async_outstanding += 1;
-    uint64_t qid = ex.query_id;
-    storage_->FetchTuple(op.relation, id, [this, qid, scan_op](Status st, Tuple t) {
-      Exec* ex2 = FindExec(qid);
-      if (ex2 == nullptr) return;
-      ex2->scans[scan_op].async_outstanding -= 1;
-      if (st.ok()) {
-        InjectScanRow(*ex2, scan_op, std::move(t),
-                      SingletonTaint(ex2->cx.taint_bits, node()));
-      }
-      CheckScanEos(*ex2, scan_op);
-    });
-  }
+  if (local.count() == 0) return;
+  Reader r(local.entries());
+  ReadScanIds(ex, scan_op, &r, local.count(), SingletonTaint(ex.cx.taint_bits, node()))
+      .ok();
 }
 
 void QueryService::InjectScanRow(Exec& ex, int32_t scan_op, Tuple tuple,
@@ -719,9 +687,38 @@ void QueryService::InjectScanRow(Exec& ex, int32_t scan_op, Tuple tuple,
   static_cast<ScanOp*>(ex.ops[scan_op].get())->Inject(std::move(row));
 }
 
+Status QueryService::ReadScanIds(Exec& ex, int32_t scan_op, Reader* r, uint64_t n,
+                                 const DynamicBitset& taint) {
+  const std::string& rel = ex.plan.op(scan_op).relation;
+  const uint64_t qid = ex.query_id;
+  auto fetch = [&](const storage::keys::WireId& id) {
+    ex.scans[scan_op].async_outstanding += 1;
+    storage_->FetchTuple(rel, storage::TupleId{std::string(id.key_bytes), id.epoch},
+                         [this, qid, scan_op, taint](Status st, Tuple t) {
+                           Exec* ex2 = FindExec(qid);
+                           if (ex2 == nullptr) return;
+                           ex2->scans[scan_op].async_outstanding -= 1;
+                           if (st.ok()) InjectScanRow(*ex2, scan_op, std::move(t), taint);
+                           CheckScanEos(*ex2, scan_op);
+                         });
+  };
+  return storage_->ReadIdList(
+      rel, r, n,
+      [&](const storage::keys::WireId& id, std::string_view bytes) {
+        Reader tr(bytes);
+        Tuple t;
+        if (storage::DecodeTuple(&tr, &t).ok()) {
+          InjectScanRow(ex, scan_op, std::move(t), taint);
+        } else {
+          fetch(id);
+        }
+      },
+      fetch);
+}
+
 void QueryService::SendFetch(Exec& ex, int32_t scan_op, net::NodeId peer, bool final) {
   ScanState& ss = ex.scans[scan_op];
-  ScanState::FetchBatch batch = std::move(ss.batches[peer]);
+  storage::keys::IdListWriter batch = std::move(ss.batches[peer]);
   ss.batches.erase(peer);
   Writer w;
   w.PutU64(ex.query_id);
@@ -729,8 +726,7 @@ void QueryService::SendFetch(Exec& ex, int32_t scan_op, net::NodeId peer, bool f
   w.PutVarint32(ex.cx.phase);
   w.PutVarint32(++ss.fetch_sent[peer]);
   w.PutBool(final);
-  w.PutVarint64(batch.count);
-  w.PutRaw(batch.ids.data().data(), batch.ids.size());
+  batch.EncodeTo(&w);
   SendTo(peer, kQueryFetch, w.Release());
 }
 
@@ -751,46 +747,13 @@ void QueryService::HandleQueryFetch(net::NodeId from, const std::string& payload
     return;
   }
   if (scan_op >= ex->plan.ops.size()) return;
-  const std::string& rel = ex->plan.op(static_cast<int32_t>(scan_op)).relation;
-  ScanState& ss = ex->scans[static_cast<int32_t>(scan_op)];
-  const auto& costs = host_->network()->costs();
   DynamicBitset taint(ex->cx.taint_bits);
   if (ex->cx.taint_bits > 0) {
     if (from < ex->cx.taint_bits) taint.Set(from);
     if (node() < ex->cx.taint_bits) taint.Set(node());
   }
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string_view hash_be20;
-    storage::TupleId id;
-    if (!r.GetRawView(&hash_be20, 20).ok() ||
-        !storage::TupleId::DecodeFrom(&r, &id).ok()) {
-      return;
-    }
-    // The wire-carried hash keys the local read directly (no SHA-1).
-    auto bytes = storage_->ReadTupleBytesRaw(rel, hash_be20, id.key_bytes, id.epoch);
-    Tuple t;
-    bool ok = bytes.ok();
-    if (ok) {
-      Reader tr(bytes.value());
-      ok = storage::DecodeTuple(&tr, &t).ok();
-    }
-    ex->cx.charge(costs.tuple_scan_us);
-    if (ok) {
-      InjectScanRow(*ex, static_cast<int32_t>(scan_op), std::move(t), taint);
-    } else {
-      ss.async_outstanding += 1;
-      storage_->FetchTuple(rel, id, [this, qid, scan_op, taint](Status st, Tuple t2) {
-        Exec* ex2 = FindExec(qid);
-        if (ex2 == nullptr) return;
-        ex2->scans[static_cast<int32_t>(scan_op)].async_outstanding -= 1;
-        if (st.ok()) {
-          InjectScanRow(*ex2, static_cast<int32_t>(scan_op), std::move(t2), taint);
-        }
-        CheckScanEos(*ex2, static_cast<int32_t>(scan_op));
-      });
-    }
-  }
-  ss.fetch_in[from].Arrive(seq, final, phase);
+  if (!ReadScanIds(*ex, static_cast<int32_t>(scan_op), &r, n, taint).ok()) return;
+  ex->scans[static_cast<int32_t>(scan_op)].fetch_in[from].Arrive(seq, final, phase);
   if (final) CheckScanEos(*ex, static_cast<int32_t>(scan_op));
 }
 

@@ -179,12 +179,8 @@ class QueryService : public net::Service {
     bool iteration_done = false;
     size_t async_outstanding = 0;
     bool chain_running = false;
-    /// Spillover ids (hash + TupleId) batched per data owner (kQueryFetch).
-    struct FetchBatch {
-      Writer ids;
-      uint64_t count = 0;
-    };
-    std::map<net::NodeId, FetchBatch> batches;
+    /// Spillover ids batched per data owner (kQueryFetch).
+    std::map<net::NodeId, storage::keys::IdListWriter> batches;
     SpillPeers peers;                              // for the current phase
     std::map<net::NodeId, uint32_t> fetch_sent;    // frames per peer, all phases
     std::map<net::NodeId, Inflow> fetch_in;        // frames from each peer
@@ -256,6 +252,12 @@ class QueryService : public net::Service {
   void ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& page,
                    ScanMode mode);
   void InjectScanRow(Exec& ex, int32_t scan_op, Tuple tuple, DynamicBitset taint);
+  /// Reads `n` ids of a list from `r` on this node (StorageService::
+  /// ReadIdList) into the scan with `taint`; a version missing here is
+  /// fetched from its replicas instead, and the scan's end of stream waits
+  /// for it. Corruption on a malformed list.
+  Status ReadScanIds(Exec& ex, int32_t scan_op, Reader* r, uint64_t n,
+                     const DynamicBitset& taint);
   void SendFetch(Exec& ex, int32_t scan_op, net::NodeId peer, bool final);
   void FinishScanIteration(Exec& ex, int32_t scan_op);
   void CheckScanEos(Exec& ex, int32_t scan_op);

@@ -25,25 +25,42 @@ std::string Data(std::string_view relation, const HashId& hash,
   return k;
 }
 
-std::string DataRaw(std::string_view relation, std::string_view hash_be20,
-                    std::string_view key_bytes, Epoch epoch) {
-  std::string k = DataPrefix(relation);
-  k.append(hash_be20);
-  AppendLenPrefixed(&k, key_bytes);
-  AppendEpochBE(&k, epoch);
-  return k;
-}
-
 std::string DataPrefix(std::string_view relation) {
   std::string k = "D";
   AppendLenPrefixed(&k, relation);
   return k;
 }
 
-std::string DataHashFloor(std::string_view relation, const HashId& h) {
+Status GetWireId(Reader* r, WireId* out) {
+  ORC_RETURN_IF_ERROR(r->GetRawView(&out->hash_be20, 20));
+  ORC_RETURN_IF_ERROR(r->GetStringView(&out->key_bytes));
+  return r->GetVarint64(&out->epoch);
+}
+
+std::string Data(std::string_view relation, const WireId& id) {
   std::string k = DataPrefix(relation);
-  h.AppendBigEndian(&k);
+  AppendDataFields(&k, id);
   return k;
+}
+
+void AppendDataFields(std::string* out, const WireId& id) {
+  out->append(id.hash_be20);
+  AppendLenPrefixed(out, id.key_bytes);
+  AppendEpochBE(out, id.epoch);
+}
+
+Writer& IdListWriter::Add(const HashId& hash, const TupleId& id) {
+  hash_be_.clear();
+  hash.AppendBigEndian(&hash_be_);
+  entries_.PutRaw(hash_be_.data(), hash_be_.size());
+  id.EncodeTo(&entries_);
+  ++count_;
+  return entries_;
+}
+
+void IdListWriter::EncodeTo(Writer* w) const {
+  w->PutVarint64(count_);
+  w->PutRaw(entries().data(), entries().size());
 }
 
 std::string PageRec(std::string_view relation, Epoch epoch, uint32_t partition) {

@@ -1,17 +1,17 @@
 // LocalStore key layouts for the versioned storage roles one node plays
 // simultaneously (Fig. 3): data storage node, index node, inverse node, and
 // relation coordinator. Layouts are prefix-free across namespaces and
-// relations, and ordered so that:
-//   * data records of a relation sort by (tuple-key hash, key, epoch) —
-//     a page's tuples are "retrieved in a single pass through the hash ID
-//     range for that page" (§V-B);
-//   * page/coordinator records sort by epoch for debugging scans.
+// relations, and ordered so that the versions of one data key, page
+// partition or relation's coordinator records sit together oldest-first
+// (the GC retirement pass walks them that way). The id list below carries a
+// data key's fields on the wire, so it lives with the key layouts.
 #ifndef ORCHESTRA_STORAGE_KEYS_H_
 #define ORCHESTRA_STORAGE_KEYS_H_
 
 #include <string>
 #include <string_view>
 
+#include "common/serial.h"
 #include "hash/hash_id.h"
 #include "storage/page.h"
 
@@ -43,14 +43,49 @@ void AppendEpochBE(std::string* out, Epoch e);
 /// Data record: 'D' <rel> <hash:20B BE> <key_bytes:len-prefixed> <epoch:8B BE>
 std::string Data(std::string_view relation, const HashId& hash,
                  std::string_view key_bytes, Epoch epoch);
-/// Same layout, with the hash already in its 20-byte big-endian wire form
-/// (as carried by kPutTuples/kFetchTuples); splices without a HashId decode.
-std::string DataRaw(std::string_view relation, std::string_view hash_be20,
-                    std::string_view key_bytes, Epoch epoch);
 /// Prefix of all data records of a relation.
 std::string DataPrefix(std::string_view relation);
-/// Prefix of all data records of a relation with hash >= h (for range scans).
-std::string DataHashFloor(std::string_view relation, const HashId& h);
+
+// --- Id lists ---------------------------------------------------------------
+// kFetchTuples and kQueryFetch name the tuple versions to read as an id list,
+// and kPutTuples leads every tuple with the same entry: per id,
+// hash20 | TupleId (string key_bytes, varint64 epoch). hash20 is the
+// placement hash in its data-key form (20 bytes, big-endian), computed once
+// by the publisher and carried in pages, so no receiver recomputes SHA-1.
+// This is the layout's one encoder and decoder
+// (docs/STATIC_ANALYSIS.md#codec-idlist).
+
+/// One decoded id-list entry; the views alias the frame.
+struct WireId {
+  std::string_view hash_be20;
+  std::string_view key_bytes;
+  Epoch epoch = 0;
+};
+Status GetWireId(Reader* r, WireId* out);
+
+/// Data record key of a wire id (no SHA-1, no HashId decode).
+std::string Data(std::string_view relation, const WireId& id);
+/// Appends the part of a data key after DataPrefix: a reader of many ids
+/// reuses one key buffer, cut back to the prefix before each id.
+void AppendDataFields(std::string* out, const WireId& id);
+
+/// Builds the entries of an id list; frames put the count first.
+class IdListWriter {
+ public:
+  /// Appends one entry and returns the entry writer, where a kPutTuples
+  /// entry puts its tuple bytes next.
+  Writer& Add(const HashId& hash, const TupleId& id);
+  uint64_t count() const { return count_; }
+  /// The entries without the count, for a reader on this node.
+  std::string_view entries() const { return entries_.data(); }
+  /// Puts varint64 count, then the entries.
+  void EncodeTo(Writer* w) const;
+
+ private:
+  Writer entries_;
+  uint64_t count_ = 0;
+  std::string hash_be_;  // reused 20-byte scratch: no per-id allocation
+};
 
 /// Index-node page record: 'P' <rel> <partition:4B BE> <epoch:8B BE>
 std::string PageRec(std::string_view relation, Epoch epoch, uint32_t partition);

@@ -110,10 +110,10 @@ struct PageDescriptor {
 };
 
 /// A page version: the TupleIds in this partition at this epoch, sorted by
-/// (hash, key_bytes) so data-node scans are a single ordered pass (§V-B,
-/// distributed scan). `hashes[i]` is the placement hash of `ids[i]`,
-/// computed once at publish time and carried in the wire/storage format so
-/// index nodes and scans never recompute SHA-1 per tuple.
+/// (hash, key_bytes), the page order delta page writes merge in.
+/// `hashes[i]` is the placement hash of `ids[i]`, computed once at publish
+/// time and carried in the wire/storage format so index nodes route ids and
+/// data nodes point-look-up each version without recomputing SHA-1.
 struct Page {
   PageDescriptor desc;
   std::vector<TupleId> ids;

@@ -277,16 +277,19 @@ void Publisher::BeginPublish(Handle st) {
   // unchanged relations forward to the new epoch). The epoch claim launches
   // concurrently — by the time the prepare stages finish, the claim outcome
   // is usually already in.
+  FetchBaseRecords(st, /*stall_budget=*/4);
+}
+
+void Publisher::FetchBaseRecords(Handle st, int stall_budget) {
   auto rels = service_->RelationNames();
-  st->outstanding = rels.size();
   if (rels.empty()) {
     Finish(st, Status::FailedPrecondition("no relations in catalog"));
     return;
   }
+  st->outstanding = rels.size();
   StartClaim(st);
   for (const auto& rel : rels) {
-    FetchBaseCoordinator(st, rel, st->base_epoch, /*walk_left=*/16,
-                         /*stall_left=*/4);
+    FetchBaseCoordinator(st, rel, st->base_epoch, /*walk_left=*/16, stall_budget);
   }
 }
 
@@ -482,8 +485,8 @@ void Publisher::Apply(Handle st) {
     Page page;
     page.desc.id = PageId{pw.relation, st->new_epoch, pw.partition};
     page.desc.num_partitions = def->num_partitions;
-    // Sort by (hash, key) so data-node scans are one ordered pass — a
-    // decorated sort over the precomputed hashes, not SHA-1 per comparison.
+    // Sort into page order, (hash, key), which delta page writes merge in —
+    // a decorated sort over the precomputed hashes, not SHA-1 per comparison.
     struct Row {
       const HashId* hash;
       std::string_view key;
@@ -1045,55 +1048,7 @@ void Publisher::Rebase(Handle st, Epoch base) {
   ResetAttempt(st);
   st->base_epoch = base;
   st->new_epoch = base + 1;
-  auto rels = service_->RelationNames();
-  if (rels.empty()) {
-    Finish(st, Status::FailedPrecondition("no relations in catalog"));
-    return;
-  }
-  StartClaim(st);  // overlaps the re-based record fetches
-  st->outstanding = rels.size();
-  for (const auto& rel : rels) {
-    FetchRebaseCoordinator(st, rel, base, /*walk_left=*/16, /*stall_left=*/3);
-  }
-}
-
-void Publisher::FetchRebaseCoordinator(Handle st, const std::string& rel,
-                                       Epoch base, int walk_left,
-                                       int stall_left) {
-  // The winner's confirmed commit covers every relation IT knew — a
-  // relation created after its BuildOutputs has no record at `base`, and
-  // the newest record below carries it forward (safe for the same reason as
-  // FetchBaseCoordinator's walk: everything at or below a confirmed epoch
-  // is committed). Stalls come first so a replication-lagged record is not
-  // walked past.
-  service_->GetCoordinator(
-      rel, base,
-      [this, st, rel, base, walk_left, stall_left](Status s,
-                                                   CoordinatorRecord rec) {
-        if (st->done) return;
-        if (s.IsNotFound() && stall_left > 0) {
-          service_->RunAfter(2 * sim::kMicrosPerSec,
-                             [this, st, rel, base, walk_left, stall_left] {
-                               FetchRebaseCoordinator(st, rel, base, walk_left,
-                                                      stall_left - 1);
-                             });
-          return;
-        }
-        if (s.IsNotFound() && base > 0 && walk_left > 0) {
-          FetchRebaseCoordinator(st, rel, base - 1, walk_left - 1,
-                                 /*stall_left=*/1);
-          return;
-        }
-        if (!s.ok() && st->first_error.ok()) st->first_error = s;
-        if (s.ok()) st->records[rel] = std::move(rec);
-        if (--st->outstanding == 0) {
-          if (!st->first_error.ok()) {
-            Finish(st, st->first_error);
-            return;
-          }
-          FetchPages(st);
-        }
-      });
+  FetchBaseRecords(st, /*stall_budget=*/3);
 }
 
 void Publisher::BuildOutputs(Handle st) {
@@ -1168,32 +1123,23 @@ void Publisher::IssueWrites(Handle st) {
   // per destination node — however many relations and partitions the batch
   // touches, each replica sees a single RPC. The wire format leads each
   // tuple with its placement hash so receivers key their stores without
-  // rehashing (per relation: rel, n, then hash(20B BE), key, epoch, bytes).
-  std::map<net::NodeId, std::map<std::string_view, Writer>> per_node_rel;
-  std::map<net::NodeId, std::map<std::string_view, uint64_t>> per_node_count;
-  std::string hash_be;  // reused 20-byte scratch: no per-tuple allocation
+  // rehashing (per relation: rel, then an id list whose every entry is
+  // followed by the tuple bytes).
+  std::map<net::NodeId, std::map<std::string_view, keys::IdListWriter>> per_node_rel;
   for (const PubState::TupleWrite& tw : st->tuple_writes) {
-    hash_be.clear();
-    tw.hash.AppendBigEndian(&hash_be);
     std::vector<net::NodeId> targets =
         tw.everywhere ? everyone : snap.ReplicasOf(tw.hash, service_->replication());
     for (net::NodeId t : targets) {
-      Writer& w = per_node_rel[t][tw.relation];
-      w.PutRaw(hash_be.data(), hash_be.size());
-      w.PutString(tw.id.key_bytes);
-      w.PutVarint64(tw.id.epoch);
-      w.PutString(tw.tuple_bytes);
-      per_node_count[t][tw.relation] += 1;
+      per_node_rel[t][tw.relation].Add(tw.hash, tw.id).PutString(tw.tuple_bytes);
       pipeline_stats_.tuple_records += 1;
     }
   }
-  for (auto& [target, rels] : per_node_rel) {
+  for (const auto& [target, rels] : per_node_rel) {
     Writer body;
     body.PutVarint64(rels.size());
-    for (auto& [rel, w] : rels) {
+    for (const auto& [rel, tuples] : rels) {
       body.PutString(rel);
-      body.PutVarint64(per_node_count[target][rel]);
-      body.PutRaw(w.data().data(), w.size());
+      tuples.EncodeTo(&body);
     }
     st->outstanding += 1;
     pipeline_stats_.put_frames += 1;

@@ -180,11 +180,16 @@ class Publisher {
   /// Chained stage 1: derive the base (records + epoch) from the
   /// predecessor's prepared in-memory output; no network round trips.
   void StartChained(Handle st);
-  /// Base coordinator fetch. The discovered base is always a CONFIRMED
-  /// epoch, so a missing record means either replication lag (the fetch
-  /// re-tries the SAME epoch `stall_left` times spaced apart in time first)
-  /// or a relation CREATED after that epoch committed — whose newest record
-  /// below the base then carries its state forward (bounded walk-back).
+  /// Stage 1 of a publish attempt, fresh or re-based: launches the epoch
+  /// claim and fetches every relation's coordinator record at
+  /// st->base_epoch, allowing `stall_budget` same-epoch re-fetches each.
+  void FetchBaseRecords(Handle st, int stall_budget);
+  /// Base coordinator fetch. The base (discovered, or a contention winner's
+  /// commit) is always a CONFIRMED epoch, so a missing record means either
+  /// replication lag (the fetch re-tries the SAME epoch `stall_left` times
+  /// spaced apart in time first) or a relation CREATED after that epoch
+  /// committed — whose newest record below the base then carries its state
+  /// forward (bounded walk-back).
   /// The walk is safe under multi-writer because everything at or below a
   /// confirmed epoch is committed (partial records exist only at the
   /// frontier's wedged successor), so it can never absorb a torn publish's
@@ -259,8 +264,6 @@ class Publisher {
   /// the attempt state, fetches the committed coordinator records at `base`,
   /// and re-runs FetchPages/Apply/claim at base + 1. Bounded per publish.
   void Rebase(Handle st, Epoch base);
-  void FetchRebaseCoordinator(Handle st, const std::string& rel, Epoch base,
-                              int walk_left, int stall_left);
   /// One-way claim cleanup: deletes this participant's claim (fragments) at
   /// `epoch` on the claim replicas — only the exact instance named by
   /// `nonce`, so a delayed release can never unpin a newer attempt's claim.

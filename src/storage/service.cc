@@ -94,15 +94,6 @@ Result<PageId> StorageService::ReadInverseLocal(const std::string& rel,
   return id;
 }
 
-Result<Tuple> StorageService::ReadTupleLocal(const std::string& rel,
-                                             const TupleId& id) const {
-  ORC_ASSIGN_OR_RETURN(std::string_view bytes, ReadTupleBytesLocal(rel, id));
-  Reader r(bytes);
-  Tuple t;
-  ORC_RETURN_IF_ERROR(DecodeTuple(&r, &t));
-  return t;
-}
-
 Result<std::string_view> StorageService::ReadTupleBytesLocal(
     std::string_view rel, const TupleId& id) const {
   const RelationDef* def = FindRelation(rel);
@@ -111,66 +102,30 @@ Result<std::string_view> StorageService::ReadTupleBytesLocal(
   return store_.GetView(keys::Data(rel, h, id.key_bytes, id.epoch));
 }
 
-Result<std::string_view> StorageService::ReadTupleBytesRaw(
-    std::string_view rel, std::string_view hash_be20, std::string_view key_bytes,
-    Epoch epoch) const {
-  return store_.GetView(keys::DataRaw(rel, hash_be20, key_bytes, epoch));
-}
-
-Status StorageService::ScanPageLocal(
-    const std::string& rel, const Page& page, const KeyFilter& filter,
-    const std::function<void(const TupleId&, Tuple)>& yield,
-    std::vector<TupleId>* missing) {
-  // Build the membership set: localstore data key -> index into page.ids.
-  // Placement hashes ride in the page itself — no SHA-1 here. Transparent
-  // hashing lets the scan below probe with key views, no per-record string.
-  struct SvHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  std::unordered_map<std::string, size_t, SvHash, std::equal_to<>> wanted;
-  wanted.reserve(page.ids.size());
-  for (size_t i = 0; i < page.ids.size(); ++i) {
-    const TupleId& id = page.ids[i];
-    if (!filter.Matches(id.key_bytes)) continue;
-    wanted.emplace(keys::Data(rel, page.hashes[i], id.key_bytes, id.epoch), i);
-  }
-  ChargeCpu(host_->network()->costs().index_entry_us *
-            static_cast<double>(page.ids.size()));
-
-  // Single ordered pass through the page's hash range (§V-B).
-  std::string start = keys::DataHashFloor(rel, page.desc.range_begin());
-  std::string prefix = keys::DataPrefix(rel);
-  HashId end = page.desc.range_end();
-  bool wraps = end == HashId::Zero();
-  std::string end_key = wraps ? std::string() : keys::DataHashFloor(rel, end);
-
-  std::vector<bool> found(page.ids.size(), false);
-  size_t scanned = 0;
-  for (auto it = store_.Seek(start); localstore::LocalStore::WithinPrefix(it, prefix);
-       it.Next()) {
-    if (!wraps && std::string_view(it.key()) >= end_key) break;
-    ++scanned;
-    auto w = wanted.find(it.key());
-    if (w == wanted.end()) continue;  // other version / other epoch
-    Reader r(it.value());
-    Tuple t;
-    ORC_RETURN_IF_ERROR(DecodeTuple(&r, &t));
-    found[w->second] = true;
-    yield(page.ids[w->second], std::move(t));
-  }
-  ChargeCpu(host_->network()->costs().tuple_scan_us * static_cast<double>(scanned));
-
-  if (missing != nullptr) {
-    for (size_t i = 0; i < page.ids.size(); ++i) {
-      if (!found[i] && filter.Matches(page.ids[i].key_bytes)) {
-        missing->push_back(page.ids[i]);
-      }
+Status StorageService::ReadIdList(
+    std::string_view rel, Reader* r, uint64_t n,
+    const std::function<void(const keys::WireId&, std::string_view bytes)>& found,
+    const std::function<void(const keys::WireId&)>& missing) {
+  std::string key = keys::DataPrefix(rel);
+  const size_t prefix_len = key.size();
+  Status st = Status::OK();
+  uint64_t read = 0;
+  for (; read < n; ++read) {
+    keys::WireId id;
+    st = keys::GetWireId(r, &id);
+    if (!st.ok()) break;
+    key.resize(prefix_len);
+    keys::AppendDataFields(&key, id);
+    auto bytes = store_.GetView(key);
+    // Empty stored bytes are a delete tombstone, never a servable tuple.
+    if (bytes.ok() && !bytes.value().empty()) {
+      found(id, bytes.value());
+    } else {
+      missing(id);
     }
   }
-  return Status::OK();
+  ChargeCpu(host_->network()->costs().tuple_scan_us * static_cast<double>(read));
+  return st;
 }
 
 // --------------------------------------------------------------------------
@@ -310,23 +265,21 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
           return;
         }
         for (uint64_t i = 0; i < n; ++i) {
-          std::string_view hash_be20, key_bytes, tuple_bytes;
-          uint64_t epoch;
-          if (!r->GetRawView(&hash_be20, 20).ok() ||
-              !r->GetStringView(&key_bytes).ok() ||
-              !r->GetVarint64(&epoch).ok() ||
+          keys::WireId id;
+          std::string_view tuple_bytes;
+          if (!keys::GetWireId(r, &id).ok() ||
               !r->GetStringView(&tuple_bytes).ok()) {
             return;
           }
           // Zombie write refusal: a fenced epoch can never be resurrected.
           // The empty() fast path keeps the hot loop map-free normally.
-          if (!fenced_epochs_.empty() && fenced_epochs_.count(epoch) > 0) {
+          if (!fenced_epochs_.empty() && fenced_epochs_.count(id.epoch) > 0) {
             ++fenced_refused;
             continue;
           }
-          std::string key = keys::DataRaw(rel, hash_be20, key_bytes, epoch);
+          std::string key = keys::Data(rel, id);
           store_.Put(key, tuple_bytes).ok();
-          marked += MarkGroup(key, epoch);
+          marked += MarkGroup(key, id.epoch);
           counters_.tuples_stored += 1;
         }
         total += n;
@@ -1084,14 +1037,9 @@ void StorageService::HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id
   // Group the surviving tuple ids of every page in the frame by their data
   // storage node (Algorithm 1 line 8), routing on the hashes carried in the
   // pages — no SHA-1 per id — so each owner gets one kFetchTuples.
-  struct Part {
-    Writer ids;  // per id: hash(20B BE) + TupleId
-    uint64_t n = 0;
-  };
-  std::map<net::NodeId, Part> by_owner;
+  std::map<net::NodeId, keys::IdListWriter> by_owner;
   Writer refused;  // frame indices of pages this replica does not hold
   uint64_t n_refused = 0;
-  std::string hb;  // reused 20-byte scratch: no per-id allocation
   for (uint64_t i = 0; i < n; ++i) {
     PageDescriptor desc;
     if (!PageDescriptor::DecodeFrom(r, &desc).ok()) {
@@ -1110,26 +1058,21 @@ void StorageService::HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id
               static_cast<double>(page->ids.size()));
     for (size_t k = 0; k < page->ids.size(); ++k) {
       if (!filter.Matches(page->ids[k].key_bytes)) continue;
-      Part& part = by_owner[board_->current.OwnerOf(page->hashes[k])];
-      hb.clear();
-      page->hashes[k].AppendBigEndian(&hb);
-      part.ids.PutRaw(hb.data(), hb.size());
-      page->ids[k].EncodeTo(&part.ids);
-      ++part.n;
+      by_owner[board_->current.OwnerOf(page->hashes[k])].Add(page->hashes[k],
+                                                             page->ids[k]);
     }
   }
   counters_.scan_frames_served += 1;
 
   uint64_t total_ids = 0;
-  for (auto& [owner, part] : by_owner) {
+  for (const auto& [owner, ids] : by_owner) {
     Writer w;
     w.PutU64(scan_id);
     w.PutVarint64(attempt);
     w.PutU32(requester);
     w.PutString(rel);
-    w.PutVarint64(part.n);
-    w.PutRaw(part.ids.data().data(), part.ids.size());
-    total_ids += part.n;
+    ids.EncodeTo(&w);
+    total_ids += ids.count();
     SendOneWay(owner, kFetchTuples, w.Release());
   }
 
@@ -1155,30 +1098,23 @@ void StorageService::HandleFetchTuples(net::NodeId /*from*/, Reader* r) {
   Writer out;
   out.PutU64(scan_id);
   out.PutVarint64(attempt);
+  // The stored bytes ARE the encoded tuple: splice them into the reply
+  // without decode/re-encode.
   Writer rows;
   Writer missing;
   uint64_t rows_n = 0, missing_n = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string_view hash_be20, key_bytes;
-    uint64_t epoch;
-    if (!r->GetRawView(&hash_be20, 20).ok() ||
-        !r->GetStringView(&key_bytes).ok() || !r->GetVarint64(&epoch).ok()) {
-      return;
-    }
-    // The stored bytes ARE the encoded tuple: splice them into the reply
-    // without decode/re-encode, keyed by the wire-carried hash (no SHA-1).
-    // Empty bytes are a delete tombstone — report the id missing instead.
-    auto bytes = ReadTupleBytesRaw(rel, hash_be20, key_bytes, epoch);
-    if (bytes.ok() && !bytes.value().empty()) {
-      rows.PutRaw(bytes.value().data(), bytes.value().size());
-      ++rows_n;
-    } else {
-      TupleId{std::string(key_bytes), epoch}.EncodeTo(&missing);
-      ++missing_n;
-    }
-  }
+  Status st = ReadIdList(
+      rel, r, n,
+      [&](const keys::WireId&, std::string_view bytes) {
+        rows.PutRaw(bytes.data(), bytes.size());
+        ++rows_n;
+      },
+      [&](const keys::WireId& id) {
+        TupleId{std::string(id.key_bytes), id.epoch}.EncodeTo(&missing);
+        ++missing_n;
+      });
+  if (!st.ok()) return;
   counters_.tuples_served += rows_n;
-  ChargeCpu(host_->network()->costs().tuple_scan_us * static_cast<double>(n));
   out.PutString(rel);
   out.PutVarint64(rows_n);
   out.PutRaw(rows.data().data(), rows.size());
@@ -1217,7 +1153,7 @@ void StorageService::HandleTupleData(net::NodeId /*from*/, Reader* r) {
   }
   part.parts_received += 1;
   part.lookups_outstanding += missing.size();
-  for (const auto& id : missing) RecoverMissingTuple(scan_id, attempt, id, 0);
+  for (const auto& id : missing) RecoverMissingTuple(scan_id, attempt, id);
   ScanCheckDone(scan_id);
 }
 
@@ -1373,9 +1309,9 @@ void StorageService::StartPageScans(uint64_t scan_id,
 
 void StorageService::FetchTuple(const std::string& rel, const TupleId& id,
                                 std::function<void(Status, Tuple)> cb) {
-  auto def = Relation(rel);
-  if (!def.ok()) {
-    cb(def.status(), {});
+  const RelationDef* def = FindRelation(rel);
+  if (def == nullptr) {
+    cb(Status::NotFound("no relation " + rel), {});
     return;
   }
   auto replicas =
@@ -1402,46 +1338,22 @@ void StorageService::FetchTuple(const std::string& rel, const TupleId& id,
 }
 
 void StorageService::RecoverMissingTuple(uint64_t scan_id, uint64_t attempt,
-                                         const TupleId& id, size_t replica_idx) {
+                                         const TupleId& id) {
   auto it = scans_.find(scan_id);
   if (it == scans_.end()) return;
-  ScanState& state = it->second;
-
-  auto def = Relation(state.relation);
-  if (!def.ok()) {
-    ScanFail(scan_id, def.status());
-    return;
-  }
-  auto replicas = board_->current.ReplicasOf(PlacementHash(*def, id.key_bytes),
-                                             replication_);
-  if (replica_idx >= replicas.size()) {
-    ScanFail(scan_id, Status::Unavailable("tuple lost from all replicas"));
-    return;
-  }
-  Writer w;
-  w.PutString(state.relation);
-  id.EncodeTo(&w);
-  Call(replicas[replica_idx], kGetTuple, w.Release(),
-       [this, scan_id, attempt, id, replica_idx](Status st,
-                                                 const std::string& reply) {
-         auto sit = scans_.find(scan_id);
-         if (sit == scans_.end()) return;
-         auto at = sit->second.attempts.find(attempt);
-         if (at == sit->second.attempts.end()) return;  // attempt abandoned
-         if (!st.ok()) {
-           RecoverMissingTuple(scan_id, attempt, id, replica_idx + 1);
-           return;
-         }
-         Reader r(reply);
-         Tuple t;
-         if (!DecodeTuple(&r, &t).ok()) {
-           ScanFail(scan_id, Status::Corruption("bad tuple reply"));
-           return;
-         }
-         at->second.rows.push_back(std::move(t));
-         at->second.lookups_outstanding -= 1;
-         ScanCheckDone(scan_id);
-       });
+  FetchTuple(it->second.relation, id, [this, scan_id, attempt](Status st, Tuple t) {
+    auto sit = scans_.find(scan_id);
+    if (sit == scans_.end()) return;
+    auto at = sit->second.attempts.find(attempt);
+    if (at == sit->second.attempts.end()) return;  // attempt abandoned
+    if (!st.ok()) {
+      ScanFail(scan_id, st);
+      return;
+    }
+    at->second.rows.push_back(std::move(t));
+    at->second.lookups_outstanding -= 1;
+    ScanCheckDone(scan_id);
+  });
 }
 
 void StorageService::ScanCheckDone(uint64_t scan_id) {

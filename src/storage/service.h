@@ -36,14 +36,14 @@ struct SnapshotBoard {
 
 /// Storage protocol message codes (service kStorage).
 ///
-/// The publish-path bodies (kPutTuples, kFetchTuples) carry each tuple's
-/// placement hash in 20-byte big-endian wire form, computed once by the
-/// publisher; receivers splice it straight into their localstore keys and
-/// never recompute SHA-1.
+/// kPutTuples and kFetchTuples (and the query engine's kQueryFetch) name
+/// tuple versions by id list (keys::IdListWriter): each id carries its
+/// placement hash, computed once by the publisher, which receivers splice
+/// straight into their localstore keys without recomputing SHA-1.
 enum StorageCode : uint16_t {
   kCatalogAdd = 1,
   // One coalesced frame per destination node and publish: nrels, then per
-  // relation: rel, n, then per tuple: hash(20B BE), key, epoch, bytes. The
+  // relation: rel and an id list, each entry followed by the tuple bytes. The
   // publisher batches every tuple write bound for a node — across all
   // relations and partitions — into a single kPutTuples RPC.
   kPutTuples = 2,
@@ -64,7 +64,7 @@ enum StorageCode : uint16_t {
   // The reply body lists the frame indices of pages the node does not hold;
   // the requester asks each page's next replica for exactly those.
   kScanPage = 9,
-  kFetchTuples = 10,  // Algorithm 1, step 8: index node -> data node
+  kFetchTuples = 10,  // Algorithm 1, step 8: index node -> data node (id list)
   kTupleData = 11,    // Algorithm 1, step 9: data node -> requester (direct)
   kReplicaPush = 12,  // background re-replication (PAST-style, §III-C);
                       // leads with the pusher's GC watermark so a restarted
@@ -165,24 +165,23 @@ class StorageService : public net::Service {
   Result<CoordinatorRecord> ReadCoordinatorLocal(const std::string& rel, Epoch e) const;
   Result<Page> ReadPageLocal(const PageId& id) const;
   Result<PageId> ReadInverseLocal(const std::string& rel, uint32_t partition) const;
-  Result<Tuple> ReadTupleLocal(const std::string& rel, const TupleId& id) const;
   /// Zero-copy read of one tuple version's stored (encoded) bytes; computes
   /// the placement hash. The view is valid until the next store mutation.
   Result<std::string_view> ReadTupleBytesLocal(std::string_view rel,
                                                const TupleId& id) const;
-  /// Same, with the placement hash supplied in its 20-byte big-endian wire
-  /// form (as carried by kPutTuples/kFetchTuples/kQueryFetch) — no SHA-1.
-  Result<std::string_view> ReadTupleBytesRaw(std::string_view rel,
-                                             std::string_view hash_be20,
-                                             std::string_view key_bytes,
-                                             Epoch epoch) const;
-  /// Single ordered pass over the page's hash range, yielding tuples present
-  /// in the page. Ids in the page but missing locally are appended to
-  /// `missing` (stale replica). CPU is charged per record scanned.
-  Status ScanPageLocal(const std::string& rel, const Page& page,
-                       const KeyFilter& filter,
-                       const std::function<void(const TupleId&, Tuple)>& yield,
-                       std::vector<TupleId>* missing);
+  /// The one scan-path tuple read (Algorithm 1, line 9), behind kFetchTuples,
+  /// kQueryFetch and the query engine's local page part: reads the next `n`
+  /// entries of an id list (keys::IdListWriter) from `r` and point-looks-up
+  /// each version by the hash it carries, building every data key in one
+  /// reused buffer. Stored bytes go to `found` (valid until the next store
+  /// mutation); an absent id or a delete tombstone goes to `missing`, for
+  /// the caller's FetchTuple fallback. Both get the id. Bills tuple_scan_us
+  /// once per id, in one charge.
+  /// Corruption on a malformed list (ids before the bad entry were served).
+  Status ReadIdList(std::string_view rel, Reader* r, uint64_t n,
+                    const std::function<void(const keys::WireId&,
+                                             std::string_view bytes)>& found,
+                    const std::function<void(const keys::WireId&)>& missing);
 
   // --- Asynchronous RPC (lifecycle-managed, see net/rpc.h) ------------------
   /// Sends a request; `cb` resolves exactly once — with the reply, with
@@ -219,7 +218,8 @@ class StorageService : public net::Service {
   void Retrieve(const std::string& rel, Epoch epoch, const KeyFilter& filter,
                 RetrieveCallback cb);
   /// Fetches one tuple version, trying each replica of its data node in turn
-  /// (used when a local replica is stale, §IV).
+  /// (RpcClient::CallFirst). Every scan recovers a version ReadIdList found
+  /// missing through here (a stale replica, §IV).
   void FetchTuple(const std::string& rel, const TupleId& id,
                   std::function<void(Status, Tuple)> cb);
 
@@ -462,8 +462,9 @@ class StorageService : public net::Service {
   /// per index node; refused or failed pages move on to the next replica.
   void StartPageScans(uint64_t scan_id, const std::vector<PageDescriptor>& descs,
                       size_t replica_idx);
-  void RecoverMissingTuple(uint64_t scan_id, uint64_t attempt, const TupleId& id,
-                           size_t replica_idx);
+  /// FetchTuple for a Retrieve scan's missing id; the row counts only while
+  /// the scan and its attempt are live.
+  void RecoverMissingTuple(uint64_t scan_id, uint64_t attempt, const TupleId& id);
 
   void ChargeCpu(double micros) { host_->network()->ChargeCpu(node(), micros); }
 

@@ -66,7 +66,7 @@ TEST(LocalStore, PrefixScan) {
   store.Put("x/2", "b").ok();
   store.Put("y/1", "c").ok();
   int count = 0;
-  for (auto it = store.SeekPrefix("x/"); LocalStore::WithinPrefix(it, "x/"); it.Next()) {
+  for (auto it = store.SeekPrefix("x/"); it.Valid(); it.Next()) {
     ++count;
   }
   EXPECT_EQ(count, 2);

@@ -486,6 +486,80 @@ TEST_F(QueryClusterTest, FinalStageSortAndLimit) {
   EXPECT_EQ(result->rows[1][0], S("b"));
 }
 
+// Scans read each tuple version by point lookup of the hash its page carries
+// (StorageService::ReadIdList), so the older versions a data node retains
+// (GC off) cost a key-filtered scan nothing.
+TEST_F(QueryClusterTest, ScanCostDoesNotGrowWithRetainedVersions) {
+  Deploy(4);
+  auto write_round = [&](int round) {
+    std::vector<Tuple> rows;
+    for (int i = 100; i < 500; ++i) {
+      rows.push_back({S(StrCat({"k", std::to_string(i)})),
+                      S(StrCat({"v", std::to_string(round % 10)}))});
+    }
+    LoadRows("R", rows);
+  };
+  PlanBuilder b;
+  int32_t scan = b.Scan("R");
+  storage::KeyFilter& filter = b.plan.ops[scan].key_filter;
+  filter.all = false;
+  S("k200").EncodeOrdered(&filter.lo);
+  S("k299").EncodeOrdered(&filter.hi);
+  PhysicalPlan plan = b.Ship(scan);
+  auto run = [&](const std::string& value) -> sim::SimTime {
+    auto result = dep->ExecuteQuery(0, plan, db_epoch);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return 0;
+    EXPECT_EQ(result->rows.size(), 100u);
+    for (const Tuple& t : result->rows) EXPECT_EQ(t[1], S(value));
+    return result->execution_us;
+  };
+
+  write_round(0);
+  write_round(1);  // one overwrite
+  const sim::SimTime after_one = run("v1");
+  for (int round = 2; round <= 20; ++round) write_round(round);  // twenty
+  const sim::SimTime after_twenty = run("v0");
+  ASSERT_GT(after_one, 0);
+  EXPECT_LE(static_cast<double>(after_twenty), 1.05 * static_cast<double>(after_one))
+      << "after 1 overwrite: " << after_one << " us, after 20: " << after_twenty << " us";
+  EXPECT_GE(static_cast<double>(after_twenty), 0.95 * static_cast<double>(after_one));
+}
+
+// A version missing from its owner's store (a stale replica, §IV) is
+// recovered from the next replica by FetchTuple, the one fallback of every
+// scan: Retrieve and a one-scan plan each return it exactly once.
+TEST_F(QueryClusterTest, VersionMissingAtItsOwnerIsReadOnceFromAReplica) {
+  Deploy(4);
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 60; ++i) {
+    rows.push_back({S(StrCat({"k", std::to_string(i)})), S(StrCat({"v", std::to_string(i)}))});
+  }
+  LoadRows("R", rows);
+  const storage::RelationDef* def = dep->storage(0).FindRelation("R");
+  ASSERT_NE(def, nullptr);
+  size_t deleted = 0;
+  for (size_t i = 0; i < rows.size(); i += 3) {
+    std::string kb = storage::EncodeTupleKey(def->schema, rows[i]);
+    HashId h = storage::PlacementHash(*def, kb);
+    net::NodeId owner = dep->storage(0).snapshot().OwnerOf(h);
+    ASSERT_TRUE(dep->storage(owner).store().Delete(
+        storage::keys::Data("R", h, kb, db_epoch)).ok());
+    ++deleted;
+  }
+  ASSERT_EQ(deleted, 20u);
+
+  auto retrieved = dep->Retrieve(1, "R", db_epoch);
+  ASSERT_TRUE(retrieved.ok()) << retrieved.status().ToString();
+  EXPECT_TRUE(SameBag(*retrieved, rows));
+
+  PlanBuilder b;
+  PhysicalPlan plan = b.Ship(b.Scan("R"));
+  auto result = dep->ExecuteQuery(1, plan, db_epoch);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(SameBag(result->rows, rows));
+}
+
 // ---------------------------------------------------------------------------
 // Dataflow protocol (docs/WIRE_FORMATS.md "Query protocol"): end of stream
 // rides the last block of each stream, and scans exchange fetch frames only

@@ -367,8 +367,7 @@ TEST_F(StorageClusterTest, ReplicateEverywhereRelation) {
     size_t local = 0;
     auto& store = dep->storage(n).store();
     std::string prefix = keys::DataPrefix("Nation");
-    for (auto it = store.SeekPrefix(prefix);
-         localstore::LocalStore::WithinPrefix(it, prefix); it.Next()) {
+    for (auto it = store.SeekPrefix(prefix); it.Valid(); it.Next()) {
       ++local;
     }
     EXPECT_EQ(local, 25u) << "node " << n;
@@ -534,6 +533,38 @@ TEST(Keys, ParsersInvertBuilders) {
   EXPECT_FALSE(keys::ParseData(wrong_tag, &dk));
   EXPECT_FALSE(keys::ParseCoord(truncated, &ck));
   EXPECT_FALSE(keys::ParsePageRec(trailing, &pk));
+}
+
+// The id list (docs/WIRE_FORMATS.md "Id list") is pinned byte for byte, and
+// a decoded entry names the same data key as the entry's HashId and TupleId.
+TEST(Keys, IdListLayoutNamesTheDataKey) {
+  HashId h = HashId::OfBytes("some-tuple-key");
+  const TupleId id{std::string("k\0y", 3), 300};
+  keys::IdListWriter list;
+  list.Add(h, id);
+  Writer frame;
+  list.EncodeTo(&frame);
+
+  std::string hb;
+  h.AppendBigEndian(&hb);
+  Writer expect;
+  expect.PutVarint64(1);
+  expect.PutRaw(hb.data(), hb.size());
+  expect.PutString(id.key_bytes);
+  expect.PutVarint64(id.epoch);
+  EXPECT_EQ(frame.data(), expect.data());
+
+  Reader r(frame.data());
+  uint64_t n = 0;
+  ASSERT_TRUE(r.GetVarint64(&n).ok());
+  EXPECT_EQ(n, 1u);
+  keys::WireId wire;
+  ASSERT_TRUE(keys::GetWireId(&r, &wire).ok());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(keys::Data("rel", wire), keys::Data("rel", h, id.key_bytes, id.epoch));
+
+  Reader truncated(std::string_view(frame.data()).substr(1, 20));
+  EXPECT_FALSE(keys::GetWireId(&truncated, &wire).ok());
 }
 
 // ---------------------------------------------------------------------------

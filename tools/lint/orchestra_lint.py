@@ -241,6 +241,15 @@ RULES.append(regex_rule(
     "it elsewhere forks the wire format",
     scope=["src/"], exclude=_FRAME_HOME))
 
+RULES.append(regex_rule(
+    "codec-idlist",
+    r"\bGetRawView\s*\([^;]*,\s*20\s*\)|\bAppendBigEndian\s*\(",
+    "the id-list layout (hash20 | TupleId, in kFetchTuples, kQueryFetch and "
+    "every kPutTuples entry) has one encoder (keys::IdListWriter) and one "
+    "decoder (keys::GetWireId); reading or writing a raw 20-byte hash "
+    "elsewhere forks the wire format",
+    scope=["src/"], exclude=_CODEC_HOME + ["src/hash/"]))
+
 # --- RPC lifecycle ---------------------------------------------------------
 
 RULES.append(regex_rule(
