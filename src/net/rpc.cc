@@ -162,7 +162,7 @@ void RpcClient::CancelAll(Status st) {
   }
 }
 
-bool RpcClient::HandleReply(const std::string& payload) {
+bool RpcClient::HandleReply(std::string_view payload) {
   Reader r(payload);
   uint64_t req_id;
   uint8_t st_code;

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -100,7 +101,7 @@ class RpcClient {
 
   /// Feeds a reply payload received on (service, reply_code); returns false
   /// if it was malformed or raced with a timeout/reap (already resolved).
-  bool HandleReply(const std::string& payload);
+  bool HandleReply(std::string_view payload);
 
   size_t pending_count() const { return pending_.size(); }
   const Counters& counters() const { return counters_; }

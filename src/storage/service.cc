@@ -151,12 +151,6 @@ void StorageService::RunAfter(sim::SimTime delay, std::function<void()> fn) {
   net->RunOnNode(node(), net->simulator()->now() + delay, std::move(fn));
 }
 
-void StorageService::Respond(net::NodeId to, uint64_t req_id, Status st,
-                             std::string body) {
-  net::RpcClient::SendReply(host_, to, net::ServiceId::kStorage, kReply, req_id,
-                            st, std::move(body));
-}
-
 void StorageService::OnConnectionDrop(net::NodeId peer) {
   // Orphan reaping: every call addressed to the failed peer resolves now
   // with Unavailable instead of waiting out its deadline.
@@ -164,460 +158,445 @@ void StorageService::OnConnectionDrop(net::NodeId peer) {
 }
 
 // --------------------------------------------------------------------------
-// Message handling
+// Message dispatch
 
 void StorageService::OnMessage(net::NodeId from, uint16_t code,
                                const std::string& payload) {
+  // Every storage code, one row each: the one place this node's data
+  // storage, index, inverse and relation-coordinator roles (Fig. 3) are
+  // served from. Code 7 is retired.
+  struct Route {
+    uint16_t code;
+    bool one_way;
+    Status (StorageService::*handler)(net::NodeId, Reader*, Writer*);
+  };
+  static constexpr Route kRoutes[] = {
+      {kCatalogAdd, false, &StorageService::HandleCatalogAdd},
+      {kPutTuples, false, &StorageService::HandlePutTuples},
+      {kPutPage, false, &StorageService::HandlePutPage},
+      {kPutCoordinator, false, &StorageService::HandlePutCoordinator},
+      {kGetCoordinator, false, &StorageService::HandleGetCoordinator},
+      {kGetPage, false, &StorageService::HandleGetPage},
+      {kGetTuple, false, &StorageService::HandleGetTuple},
+      {kScanPage, false, &StorageService::HandleScanPage},
+      {kFetchTuples, true, &StorageService::HandleFetchTuples},
+      {kTupleData, true, &StorageService::HandleTupleData},
+      {kReplicaPush, false, &StorageService::HandleReplicaPush},
+      {kGetMaxEpoch, false, &StorageService::HandleGetMaxEpoch},
+      {kSetWatermark, true, &StorageService::HandleSetWatermark},
+      {kClaimEpoch, false, &StorageService::HandleClaimEpoch},
+      {kGetEpochClaim, false, &StorageService::HandleGetEpochClaim},
+      {kReleaseEpoch, true, &StorageService::HandleReleaseEpoch},
+      {kConfirmEpoch, false, &StorageService::HandleConfirmEpoch},
+      {kFenceEpoch, false, &StorageService::HandleFenceEpoch},
+      {kPurgeEpoch, true, &StorageService::HandlePurgeEpoch},
+      {kReply, true, &StorageService::HandleReply},
+  };
+  const Route* route = std::find_if(std::begin(kRoutes), std::end(kRoutes),
+                                    [code](const Route& row) { return row.code == code; });
+  const bool known = route != std::end(kRoutes);
   Reader r(payload);
-  if (code == kReply) {
-    rpc_.HandleReply(payload);
-    return;
-  }
-  if (code == kFetchTuples) {
-    HandleFetchTuples(from, &r);
-    return;
-  }
-  if (code == kTupleData) {
-    HandleTupleData(from, &r);
-    return;
-  }
-  if (code == kSetWatermark) {
-    uint32_t participant;
-    uint64_t w;
-    if (r.GetVarint32(&participant).ok() && r.GetVarint64(&w).ok()) {
-      SetParticipantWatermark(participant, w);
-    }
-    return;
-  }
-  if (code == kPurgeEpoch) {
-    // One-way fence propagation from a successful fence round: record the
-    // burn and purge local orphans. Safe against races by construction —
-    // MergeFencedEpoch refuses to touch a committed epoch.
-    uint64_t epoch, nonce;
-    uint32_t participant;
-    if (!r.GetVarint64(&epoch).ok() || !r.GetVarint32(&participant).ok() ||
-        !r.GetVarint64(&nonce).ok()) {
-      return;
-    }
-    MergeFencedEpoch(epoch, participant, nonce);
-    return;
-  }
-  if (code == kReleaseEpoch) {
-    // One-way claim cleanup from a failed publish: delete the claim only if
-    // it is still the EXACT instance the releaser stored — matched by
-    // (participant, nonce). A successor claimant's slot is not ours to
-    // clear, and neither is a NEWER attempt of the same participant (a
-    // delayed release from a dead attempt must not unpin the epoch its
-    // retry re-claimed and is writing at).
-    uint64_t epoch, nonce;
-    uint32_t participant;
-    if (!r.GetVarint64(&epoch).ok() || !r.GetVarint32(&participant).ok() ||
-        !r.GetVarint64(&nonce).ok()) {
-      return;
-    }
-    auto stored = LoadClaim(epoch);
-    if (stored && stored->participant == participant &&
-        stored->nonce == nonce && stored->state == ClaimState::kClaimed) {
-      // A burn is NOT the releaser's to clear either: it must survive so the
-      // epoch stays dead for everyone.
-      store_.Delete(keys::EpochClaim(epoch)).ok();
-      claim_touch_.erase(epoch);
-    }
+  Writer reply;
+  if (known && route->one_way) {
+    (this->*route->handler)(from, &r, &reply);  // nobody waits on the status
     return;
   }
   uint64_t req_id;
   if (!r.GetU64(&req_id).ok()) return;
-  HandleRequest(from, code, &r, req_id);
+  Status st = known ? (this->*route->handler)(from, &r, &reply)
+                    : Status::NotSupported("unknown storage code");
+  // The one reply, sent after every message the handler sent.
+  // lint:allow(rpc-reply): the dispatcher replies for every request row.
+  net::RpcClient::SendReply(host_, from, net::ServiceId::kStorage, kReply, req_id,
+                            st, reply.Release());
 }
 
-void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
-                                   uint64_t req_id) {
+Status StorageService::HandleReply(net::NodeId /*from*/, Reader* r,
+                                   Writer* /*reply*/) {
+  rpc_.HandleReply(r->RemainingView());
+  return Status::OK();
+}
+
+Status StorageService::HandleCatalogAdd(net::NodeId /*from*/, Reader* r,
+                                        Writer* /*reply*/) {
+  RelationDef def;
+  if (!RelationDef::DecodeFrom(r, &def).ok()) {
+    return Status::Corruption("bad catalog entry");
+  }
+  AddRelationLocal(def);
+  return Status::OK();
+}
+
+Status StorageService::HandlePutTuples(net::NodeId /*from*/, Reader* r,
+                                       Writer* /*reply*/) {
+  // One coalesced frame per (publish, destination): every tuple write bound
+  // for this node, grouped by relation. Zero-copy receive: every field is
+  // consumed as a view of the payload, and the publisher-computed placement
+  // hash is spliced straight into the data key — no SHA-1, no
+  // TupleId/tuple-bytes copies.
   const auto& costs = host_->network()->costs();
-  switch (code) {
-    case kCatalogAdd: {
-      RelationDef def;
-      if (!RelationDef::DecodeFrom(r, &def).ok()) {
-        Respond(from, req_id, Status::Corruption("bad catalog entry"), {});
-        return;
-      }
-      AddRelationLocal(def);
-      Respond(from, req_id, Status::OK(), {});
-      return;
+  uint64_t nrels;
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&nrels));
+  counters_.puttuples_frames += 1;
+  uint64_t total = 0, marked = 0;
+  uint64_t fenced_refused = 0;
+  for (uint64_t ri = 0; ri < nrels; ++ri) {
+    std::string_view rel;
+    uint64_t n;
+    ORC_RETURN_IF_ERROR(r->GetStringView(&rel));
+    ORC_RETURN_IF_ERROR(r->GetVarint64(&n));
+    if (FindRelation(rel) == nullptr) {
+      return Status::NotFound("no relation " + std::string(rel));
     }
-    case kPutTuples: {
-      // One coalesced frame per (publish, destination): every tuple write
-      // bound for this node, grouped by relation. Zero-copy receive: every
-      // field is consumed as a view of the payload, and the
-      // publisher-computed placement hash is spliced straight into the data
-      // key — no SHA-1, no TupleId/tuple-bytes copies.
-      uint64_t nrels;
-      if (!r->GetVarint64(&nrels).ok()) return;
-      counters_.puttuples_frames += 1;
-      uint64_t total = 0, marked = 0;
-      uint64_t fenced_refused = 0;
-      for (uint64_t ri = 0; ri < nrels; ++ri) {
-        std::string_view rel;
-        uint64_t n;
-        if (!r->GetStringView(&rel).ok() || !r->GetVarint64(&n).ok()) return;
-        if (FindRelation(rel) == nullptr) {
-          Respond(from, req_id,
-                  Status::NotFound("no relation " + std::string(rel)), {});
-          return;
-        }
-        for (uint64_t i = 0; i < n; ++i) {
-          keys::WireId id;
-          std::string_view tuple_bytes;
-          if (!keys::GetWireId(r, &id).ok() ||
-              !r->GetStringView(&tuple_bytes).ok()) {
-            return;
-          }
-          // Zombie write refusal: a fenced epoch can never be resurrected.
-          // The empty() fast path keeps the hot loop map-free normally.
-          if (!fenced_epochs_.empty() && fenced_epochs_.count(id.epoch) > 0) {
-            ++fenced_refused;
-            continue;
-          }
-          std::string key = keys::Data(rel, id);
-          store_.Put(key, tuple_bytes).ok();
-          marked += MarkGroup(key, id.epoch);
-          counters_.tuples_stored += 1;
-        }
-        total += n;
+    for (uint64_t i = 0; i < n; ++i) {
+      keys::WireId id;
+      std::string_view tuple_bytes;
+      ORC_RETURN_IF_ERROR(keys::GetWireId(r, &id));
+      ORC_RETURN_IF_ERROR(r->GetStringView(&tuple_bytes));
+      // Zombie write refusal: a fenced epoch can never be resurrected.
+      // The empty() fast path keeps the hot loop map-free normally.
+      if (!fenced_epochs_.empty() && fenced_epochs_.count(id.epoch) > 0) {
+        ++fenced_refused;
+        continue;
       }
-      ChargeCpu(costs.tuple_write_us * static_cast<double>(total) +
-                costs.index_entry_us * static_cast<double>(marked));
-      if (fenced_refused > 0) {
-        counters_.fenced_writes_refused += fenced_refused;
-        Respond(from, req_id,
-                Status::Fenced("tuple writes at a fenced epoch refused"), {});
-        return;
-      }
-      Respond(from, req_id, Status::OK(), {});
-      return;
+      std::string key = keys::Data(rel, id);
+      store_.Put(key, tuple_bytes).ok();
+      marked += MarkGroup(key, id.epoch);
+      counters_.tuples_stored += 1;
     }
-    case kPutPage:
-      HandlePutPage(from, r, req_id);
-      return;
-    case kPutCoordinator: {
-      // Validate with a full decode, then store the wire bytes verbatim.
-      std::string_view rec_bytes = r->RemainingView();
-      CoordinatorRecord rec;
-      if (!CoordinatorRecord::DecodeFrom(r, &rec).ok() || !r->AtEnd()) {
-        Respond(from, req_id, Status::Corruption("bad coordinator record"), {});
-        return;
-      }
-      // Zombie commit refusal: a fenced epoch's coordinator chain is burned
-      // and purged; no participant may rebuild it.
-      if (!fenced_epochs_.empty() && fenced_epochs_.count(rec.epoch) > 0) {
-        counters_.fenced_writes_refused += 1;
-        Respond(from, req_id,
-                Status::Fenced("coordinator write at fenced epoch " +
-                               std::to_string(rec.epoch)),
-                {});
-        return;
-      }
-      // Multi-writer commit gate: the first committed writer of (rel, epoch)
-      // wins. A record from the SAME participant overwrites freely (the
-      // byte-identical same-batch retry); a conflicting participant is
-      // refused with kEpochTaken carrying the stored winner so it can
-      // re-base onto the committed epoch instead of tearing it.
-      auto existing = store_.Get(keys::Coord(rec.relation, rec.epoch));
-      if (existing.ok()) {
-        Reader er(existing.value());
-        CoordinatorRecord old;
-        if (CoordinatorRecord::DecodeFrom(&er, &old).ok() &&
-            old.participant != 0 && rec.participant != 0 &&
-            old.participant != rec.participant) {
-          counters_.coordinator_conflicts += 1;
-          Writer wb;
-          wb.PutVarint32(old.participant);
-          Respond(from, req_id,
-                  Status::EpochTaken("coordinator " + rec.relation + "@" +
-                                     std::to_string(rec.epoch) +
-                                     " already committed by participant " +
-                                     std::to_string(old.participant)),
-                  wb.Release());
-          return;
-        }
-      }
-      std::string key = keys::Coord(rec.relation, rec.epoch);
-      store_.Put(key, rec_bytes).ok();
-      MarkGroup(key, rec.epoch);
-      counters_.coordinators_stored += 1;
-      // Deliberately does NOT advance max_epoch_seen_: a torn publish leaves
-      // partial records, and discovery basing on them would absorb
-      // uncommitted updates. Only kConfirmEpoch advances the frontier.
-      Respond(from, req_id, Status::OK(), {});
-      return;
-    }
-    case kClaimEpoch:
-      HandleClaimEpoch(from, r, req_id);
-      return;
-    case kFenceEpoch:
-      HandleFenceEpoch(from, r, req_id);
-      return;
-    case kConfirmEpoch: {
-      // The epoch's coordinator records are all written: mark the claim
-      // committed so discovery (kGetMaxEpoch) can report the epoch. Stored
-      // even if the claim is missing here — after membership churn the new
-      // claim replicas must still learn the confirmed frontier.
-      uint64_t epoch, nonce;
-      uint32_t participant, claimant_node;
-      if (!r->GetVarint64(&epoch).ok() || !r->GetVarint32(&participant).ok() ||
-          !r->GetVarint32(&claimant_node).ok() || !r->GetVarint64(&nonce).ok()) {
-        Respond(from, req_id, Status::Corruption("bad epoch confirm"), {});
-        return;
-      }
-      // A fence that completed first wins: the epoch is burned and its
-      // orphans purged, so flipping it committed now would report an epoch
-      // whose data is gone. The publisher's ticket fails with kFenced and
-      // the batch republishes at a fresh epoch.
-      if (fenced_epochs_.count(epoch) > 0) {
-        counters_.fenced_writes_refused += 1;
-        Respond(from, req_id,
-                Status::Fenced("confirm at fenced epoch " +
-                               std::to_string(epoch)),
-                {});
-        return;
-      }
-      // A burn PROMISE (fence granted here, unanimity unknown) also refuses
-      // the confirm — that refusal is what makes unanimity meaningful — but
-      // as a RETRYABLE error, not kFenced: the publisher keeps its epoch
-      // pinned and resolves the partial burn on retry (self-fence to
-      // unanimity, or recommit once a committed record heals this replica).
-      // (A purged burn is always in fenced_epochs_, refused above.)
-      auto stored = LoadClaim(epoch);
-      if (stored && stored->state == ClaimState::kBurnPromised) {
-        counters_.fenced_writes_refused += 1;
-        Respond(from, req_id,
-                Status::Unavailable("confirm at burn-promised epoch " +
-                                    std::to_string(epoch)),
-                {});
-        return;
-      }
-      StoreClaim(epoch, EpochClaimRecord{participant, claimant_node,
-                                         ClaimState::kCommitted, nonce});
-      max_epoch_seen_ = std::max(max_epoch_seen_, epoch);
-      claim_touch_[epoch] = host_->network()->simulator()->now();
-      Respond(from, req_id, Status::OK(), {});
-      return;
-    }
-    case kGetEpochClaim: {
-      uint64_t epoch;
-      if (!r->GetVarint64(&epoch).ok()) return;
-      auto stored = LoadClaim(epoch);
-      if (!stored) {
-        Respond(from, req_id, Status::NotFound("no epoch claim"), {});
-        return;
-      }
-      Writer w;
-      stored->EncodeTo(&w);
-      Respond(from, req_id, Status::OK(), w.Release());
-      return;
-    }
-    case kGetMaxEpoch: {
-      Writer w;
-      w.PutVarint64(max_epoch_seen_);
-      Respond(from, req_id, Status::OK(), w.Release());
-      return;
-    }
-    case kGetCoordinator: {
-      std::string rel;
-      uint64_t epoch;
-      if (!r->GetString(&rel).ok() || !r->GetVarint64(&epoch).ok()) return;
-      auto bytes = store_.Get(keys::Coord(rel, epoch));
-      if (!bytes.ok()) {
-        Respond(from, req_id, bytes.status(), {});
-      } else {
-        Respond(from, req_id, Status::OK(), std::move(bytes).value());
-      }
-      return;
-    }
-    case kGetPage: {
-      PageId id;
-      if (!PageId::DecodeFrom(r, &id).ok()) return;
-      auto bytes = store_.Get(keys::PageRec(id.relation, id.epoch, id.partition));
-      if (!bytes.ok()) {
-        Respond(from, req_id, bytes.status(), {});
-      } else {
-        Respond(from, req_id, Status::OK(), std::move(bytes).value());
-      }
-      return;
-    }
-    case kGetInverse: {
-      std::string rel;
-      uint32_t partition;
-      if (!r->GetString(&rel).ok() || !r->GetVarint32(&partition).ok()) return;
-      auto bytes = store_.Get(keys::Inverse(rel, partition));
-      if (!bytes.ok()) {
-        Respond(from, req_id, bytes.status(), {});
-      } else {
-        Respond(from, req_id, Status::OK(), std::move(bytes).value());
-      }
-      return;
-    }
-    case kGetTuple: {
-      // The stored bytes are already the encoded tuple: respond with them
-      // directly instead of decode + re-encode.
-      std::string_view rel;
-      TupleId id;
-      if (!r->GetStringView(&rel).ok() || !TupleId::DecodeFrom(r, &id).ok()) return;
-      auto bytes = ReadTupleBytesLocal(rel, id);
-      ChargeCpu(costs.tuple_scan_us);
-      // Empty stored bytes are a delete tombstone, never a servable tuple.
-      if (bytes.ok() && bytes.value().empty()) {
-        Respond(from, req_id, Status::NotFound("tuple deleted"), {});
-      } else if (!bytes.ok()) {
-        Respond(from, req_id, bytes.status(), {});
-      } else {
-        Respond(from, req_id, Status::OK(), std::string(bytes.value()));
-      }
-      return;
-    }
-    case kReplicaPush: {
-      // Leads with the pusher's participant-watermark table so a restarted
-      // node re-learns every participant's mark (not just a scalar) from
-      // re-replication; the effective watermark is recomputed as the min.
-      uint64_t mark_count, n;
-      if (!r->GetVarint64(&mark_count).ok()) return;
-      std::vector<std::pair<ParticipantId, Epoch>> pushed_marks;
-      pushed_marks.reserve(mark_count);
-      for (uint64_t i = 0; i < mark_count; ++i) {
-        uint32_t p;
-        uint64_t m;
-        if (!r->GetVarint32(&p).ok() || !r->GetVarint64(&m).ok()) return;
-        pushed_marks.emplace_back(p, m);
-      }
-      // Piggybacked fenced-epoch table: merged BEFORE the records below so a
-      // push can never resurrect orphans at epochs its own sender knows are
-      // burned (and so a restarted receiver whose fenced claim records were
-      // GC'd below the watermark still re-learns the burns).
-      uint64_t fence_count;
-      if (!r->GetVarint64(&fence_count).ok()) return;
-      for (uint64_t i = 0; i < fence_count; ++i) {
-        uint64_t fe, fnonce;
-        uint32_t fp;
-        if (!r->GetVarint64(&fe).ok() || !r->GetVarint32(&fp).ok() ||
-            !r->GetVarint64(&fnonce).ok()) {
-          return;
-        }
-        MergeFencedEpoch(fe, fp, fnonce);
-      }
-      if (!r->GetVarint64(&n).ok()) return;
-      uint64_t marked = 0;
-      for (uint64_t i = 0; i < n; ++i) {
-        std::string_view key, value;
-        if (!r->GetStringView(&key).ok() || !r->GetStringView(&value).ok()) return;
-        // Every merge of a versioned record marks its group, so a stale push
-        // that resurrects a retired version is retired at the next advance.
-        Epoch ve = 0;
-        const bool versioned = keys::ParseVersionEpoch(key, &ve);
-        auto put = [&](std::string_view v) {
-          store_.Put(key, v).ok();
-          if (versioned) marked += MarkGroup(key, ve);
-        };
-        if (keys::Tag(key) == keys::kClaimTag) {
-          // Epoch claims merge by EpochClaimRecord::Merge. A pushed commit
-          // replaces anything weaker (the commit is a fact — including a
-          // burn promise from a fence round the commit's confirm refused
-          // elsewhere). A PURGED burn carries purge authority and merges via
-          // the phase-two path; a bare burn promise only installs the
-          // marker — it must never purge, its fence round may have failed. A
-          // plain claim fills an empty slot (never a burned epoch's) with a
-          // conservatively-fresh clock (a pushed claim's owner gets a TTL of
-          // grace before a fence can use this replica's vote).
-          Reader vr(value);
-          EpochClaimRecord pushed;
-          if (!versioned || !EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) {
-            continue;
-          }
-          if (pushed.state == ClaimState::kPurged) {
-            MergeFencedEpoch(ve, pushed.participant, pushed.nonce);
-            continue;
-          }
-          if (pushed.state == ClaimState::kCommitted) {
-            max_epoch_seen_ = std::max(max_epoch_seen_, ve);
-            claim_touch_.erase(ve);
-          }
-          auto mine = LoadClaim(ve);
-          if (EpochClaimRecord::Merge(mine, pushed) == mine) continue;
-          if (pushed.state == ClaimState::kClaimed) {
-            if (fenced_epochs_.count(ve) > 0) continue;
-            claim_touch_[ve] = host_->network()->simulator()->now();
-          } else if (pushed.state == ClaimState::kBurnPromised) {
-            claim_touch_.erase(ve);
-          }
-          put(value);
-          continue;
-        }
-        if (keys::Tag(key) == keys::kCoordTag) {
-          // Coordinator records replicate store-if-absent like everything
-          // else, EXCEPT when replicas disagree about a (rel, epoch)'s
-          // writer — possible only after the commit-gate backstop fired
-          // under a claim-replica wipeout. Store-if-absent would then
-          // freeze the disagreement forever (neither writer's pushes could
-          // ever overwrite the other's replicas); merging toward the
-          // smaller participant makes every replica CONVERGE to one
-          // deterministic writer per epoch instead.
-          if (versioned && fenced_epochs_.count(ve) > 0) {
-            continue;  // burned epoch: never rebuild its coordinator chain
-          }
-          auto curv = store_.Get(key);
-          if (!curv.ok()) {
-            put(value);
-          } else {
-            Reader pr(value);
-            Reader cr(curv.value());
-            CoordinatorRecord pushed, mine;
-            if (CoordinatorRecord::DecodeFrom(&pr, &pushed).ok() &&
-                CoordinatorRecord::DecodeFrom(&cr, &mine).ok() &&
-                pushed.participant != 0 && mine.participant != 0 &&
-                pushed.participant < mine.participant) {
-              put(value);
-            }
-          }
-          continue;
-        }
-        // Fence filter on store-if-absent: a stale pusher that missed a
-        // fence must not resurrect the purged orphans here.
-        if (versioned && fenced_epochs_.count(ve) > 0) continue;
-        if (!store_.Contains(key)) put(value);
-        if (keys::Tag(key) == keys::kCatalogTag) {
-          Reader cr(value);
-          RelationDef def;
-          if (RelationDef::DecodeFrom(&cr, &def).ok()) catalog_[def.name] = def;
-        }
-      }
-      ChargeCpu(costs.tuple_write_us * static_cast<double>(n) +
-                costs.index_entry_us * static_cast<double>(marked));
-      // Piggybacked GC watermarks: a freshly restarted node (its table
-      // resets empty) learns every participant's mark from the first replica
-      // push instead of waiting for the next advertisements (and arms its
-      // retirement index). Conversely, a push from a node that lags OUR
-      // watermark may have resurrected already-retired records: their marks
-      // are due, and retirement runs once for the whole push.
-      for (const auto& [p, m] : pushed_marks) MergeParticipantMark(p, m);
-      Epoch effective = EffectiveParticipantWatermark();
-      if (effective > gc_watermark_) AdvanceGc(effective);
-      ScheduleRetirement();
-      Respond(from, req_id, Status::OK(), {});
-      return;
-    }
-    case kScanPage:
-      HandleScanPage(from, r, req_id);
-      return;
-    default:
-      Respond(from, req_id, Status::NotSupported("unknown storage code"), {});
+    total += n;
   }
+  ChargeCpu(costs.tuple_write_us * static_cast<double>(total) +
+            costs.index_entry_us * static_cast<double>(marked));
+  if (fenced_refused > 0) {
+    counters_.fenced_writes_refused += fenced_refused;
+    return Status::Fenced("tuple writes at a fenced epoch refused");
+  }
+  return Status::OK();
 }
 
-void StorageService::HandlePutPage(net::NodeId from, Reader* r,
-                                   uint64_t req_id) {
-  uint64_t n;
-  if (!r->GetVarint64(&n).ok()) {
-    Respond(from, req_id, Status::Corruption("bad page frame"), {});
-    return;
+Status StorageService::HandlePutCoordinator(net::NodeId /*from*/, Reader* r,
+                                            Writer* reply) {
+  // Validate with a full decode, then store the wire bytes verbatim.
+  std::string_view rec_bytes = r->RemainingView();
+  CoordinatorRecord rec;
+  if (!CoordinatorRecord::DecodeFrom(r, &rec).ok() || !r->AtEnd()) {
+    return Status::Corruption("bad coordinator record");
   }
+  // Zombie commit refusal: a fenced epoch's coordinator chain is burned and
+  // purged; no participant may rebuild it.
+  if (!fenced_epochs_.empty() && fenced_epochs_.count(rec.epoch) > 0) {
+    counters_.fenced_writes_refused += 1;
+    return Status::Fenced("coordinator write at fenced epoch " +
+                          std::to_string(rec.epoch));
+  }
+  // Multi-writer commit gate: the first committed writer of (rel, epoch)
+  // wins. A record from the SAME participant overwrites freely (the
+  // byte-identical same-batch retry); a conflicting participant is refused
+  // with kEpochTaken carrying the stored winner so it can re-base onto the
+  // committed epoch instead of tearing it.
+  auto existing = store_.Get(keys::Coord(rec.relation, rec.epoch));
+  if (existing.ok()) {
+    Reader er(existing.value());
+    CoordinatorRecord old;
+    if (CoordinatorRecord::DecodeFrom(&er, &old).ok() && old.participant != 0 &&
+        rec.participant != 0 && old.participant != rec.participant) {
+      counters_.coordinator_conflicts += 1;
+      reply->PutVarint32(old.participant);
+      return Status::EpochTaken("coordinator " + rec.relation + "@" +
+                                std::to_string(rec.epoch) +
+                                " already committed by participant " +
+                                std::to_string(old.participant));
+    }
+  }
+  std::string key = keys::Coord(rec.relation, rec.epoch);
+  store_.Put(key, rec_bytes).ok();
+  MarkGroup(key, rec.epoch);
+  counters_.coordinators_stored += 1;
+  // Deliberately does NOT advance max_epoch_seen_: a torn publish leaves
+  // partial records, and discovery basing on them would absorb uncommitted
+  // updates. Only kConfirmEpoch advances the frontier.
+  return Status::OK();
+}
+
+Status StorageService::HandleConfirmEpoch(net::NodeId /*from*/, Reader* r,
+                                          Writer* /*reply*/) {
+  // The epoch's coordinator records are all written: mark the claim
+  // committed so discovery (kGetMaxEpoch) can report the epoch. Stored even
+  // if the claim is missing here — after membership churn the new claim
+  // replicas must still learn the confirmed frontier.
+  uint64_t epoch, nonce;
+  uint32_t participant, claimant_node;
+  if (!r->GetVarint64(&epoch).ok() || !r->GetVarint32(&participant).ok() ||
+      !r->GetVarint32(&claimant_node).ok() || !r->GetVarint64(&nonce).ok()) {
+    return Status::Corruption("bad epoch confirm");
+  }
+  // A fence that completed first wins: the epoch is burned and its orphans
+  // purged, so flipping it committed now would report an epoch whose data is
+  // gone. The publisher's ticket fails with kFenced and the batch
+  // republishes at a fresh epoch.
+  if (fenced_epochs_.count(epoch) > 0) {
+    counters_.fenced_writes_refused += 1;
+    return Status::Fenced("confirm at fenced epoch " + std::to_string(epoch));
+  }
+  // A burn PROMISE (fence granted here, unanimity unknown) also refuses the
+  // confirm — that refusal is what makes unanimity meaningful — but as a
+  // RETRYABLE error, not kFenced: the publisher keeps its epoch pinned and
+  // resolves the partial burn on retry (self-fence to unanimity, or
+  // recommit once a committed record heals this replica). (A purged burn is
+  // always in fenced_epochs_, refused above.)
+  auto stored = LoadClaim(epoch);
+  if (stored && stored->state == ClaimState::kBurnPromised) {
+    counters_.fenced_writes_refused += 1;
+    return Status::Unavailable("confirm at burn-promised epoch " +
+                               std::to_string(epoch));
+  }
+  StoreClaim(epoch, EpochClaimRecord{participant, claimant_node,
+                                     ClaimState::kCommitted, nonce});
+  max_epoch_seen_ = std::max(max_epoch_seen_, epoch);
+  claim_touch_[epoch] = host_->network()->simulator()->now();
+  return Status::OK();
+}
+
+Status StorageService::HandleGetEpochClaim(net::NodeId /*from*/, Reader* r,
+                                           Writer* reply) {
+  uint64_t epoch;
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&epoch));
+  auto stored = LoadClaim(epoch);
+  if (!stored) return Status::NotFound("no epoch claim");
+  stored->EncodeTo(reply);
+  return Status::OK();
+}
+
+Status StorageService::HandleGetMaxEpoch(net::NodeId /*from*/, Reader* /*r*/,
+                                         Writer* reply) {
+  reply->PutVarint64(max_epoch_seen_);
+  return Status::OK();
+}
+
+Status StorageService::HandleGetCoordinator(net::NodeId /*from*/, Reader* r,
+                                            Writer* reply) {
+  std::string_view rel;
+  uint64_t epoch;
+  ORC_RETURN_IF_ERROR(r->GetStringView(&rel));
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&epoch));
+  return ServeRecord(keys::Coord(rel, epoch), reply);
+}
+
+Status StorageService::HandleGetPage(net::NodeId /*from*/, Reader* r,
+                                     Writer* reply) {
+  PageId id;
+  ORC_RETURN_IF_ERROR(PageId::DecodeFrom(r, &id));
+  return ServeRecord(keys::PageRec(id.relation, id.epoch, id.partition), reply);
+}
+
+Status StorageService::ServeRecord(std::string_view key, Writer* reply) const {
+  ORC_ASSIGN_OR_RETURN(std::string_view bytes, store_.GetView(key));
+  reply->PutRaw(bytes.data(), bytes.size());
+  return Status::OK();
+}
+
+Status StorageService::HandleGetTuple(net::NodeId /*from*/, Reader* r,
+                                      Writer* reply) {
+  // The stored bytes are already the encoded tuple: reply with them
+  // directly instead of decode + re-encode.
+  std::string_view rel;
+  TupleId id;
+  ORC_RETURN_IF_ERROR(r->GetStringView(&rel));
+  ORC_RETURN_IF_ERROR(TupleId::DecodeFrom(r, &id));
+  auto bytes = ReadTupleBytesLocal(rel, id);
+  ChargeCpu(host_->network()->costs().tuple_scan_us);
+  if (!bytes.ok()) return bytes.status();
+  // Empty stored bytes are a delete tombstone, never a servable tuple.
+  if (bytes->empty()) return Status::NotFound("tuple deleted");
+  reply->PutRaw(bytes->data(), bytes->size());
+  return Status::OK();
+}
+
+Status StorageService::HandleReplicaPush(net::NodeId /*from*/, Reader* r,
+                                         Writer* /*reply*/) {
+  // Leads with the pusher's participant-watermark table so a restarted node
+  // re-learns every participant's mark (not just a scalar) from
+  // re-replication; the effective watermark is recomputed as the min.
+  const auto& costs = host_->network()->costs();
+  uint64_t mark_count, n;
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&mark_count));
+  std::vector<std::pair<ParticipantId, Epoch>> pushed_marks;
+  pushed_marks.reserve(mark_count);
+  for (uint64_t i = 0; i < mark_count; ++i) {
+    uint32_t p;
+    uint64_t m;
+    ORC_RETURN_IF_ERROR(r->GetVarint32(&p));
+    ORC_RETURN_IF_ERROR(r->GetVarint64(&m));
+    pushed_marks.emplace_back(p, m);
+  }
+  // Piggybacked fenced-epoch table: merged BEFORE the records below so a
+  // push can never resurrect orphans at epochs its own sender knows are
+  // burned (and so a restarted receiver whose fenced claim records were
+  // GC'd below the watermark still re-learns the burns).
+  uint64_t fence_count;
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&fence_count));
+  for (uint64_t i = 0; i < fence_count; ++i) {
+    uint64_t fe, fnonce;
+    uint32_t fp;
+    ORC_RETURN_IF_ERROR(r->GetVarint64(&fe));
+    ORC_RETURN_IF_ERROR(r->GetVarint32(&fp));
+    ORC_RETURN_IF_ERROR(r->GetVarint64(&fnonce));
+    MergeFencedEpoch(fe, fp, fnonce);
+  }
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&n));
+  uint64_t marked = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string_view key, value;
+    ORC_RETURN_IF_ERROR(r->GetStringView(&key));
+    ORC_RETURN_IF_ERROR(r->GetStringView(&value));
+    // Every merge of a versioned record marks its group, so a stale push
+    // that resurrects a retired version is retired at the next advance.
+    Epoch ve = 0;
+    const bool versioned = keys::ParseVersionEpoch(key, &ve);
+    auto put = [&](std::string_view v) {
+      store_.Put(key, v).ok();
+      if (versioned) marked += MarkGroup(key, ve);
+    };
+    if (keys::Tag(key) == keys::kClaimTag) {
+      // Epoch claims merge by EpochClaimRecord::Merge. A pushed commit
+      // replaces anything weaker (the commit is a fact — including a burn
+      // promise from a fence round the commit's confirm refused elsewhere).
+      // A PURGED burn carries purge authority and merges via the phase-two
+      // path; a bare burn promise only installs the marker — it must never
+      // purge, its fence round may have failed. A plain claim fills an
+      // empty slot (never a burned epoch's) with a conservatively-fresh
+      // clock (a pushed claim's owner gets a TTL of grace before a fence
+      // can use this replica's vote).
+      Reader vr(value);
+      EpochClaimRecord pushed;
+      if (!versioned || !EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) {
+        continue;
+      }
+      if (pushed.state == ClaimState::kPurged) {
+        MergeFencedEpoch(ve, pushed.participant, pushed.nonce);
+        continue;
+      }
+      if (pushed.state == ClaimState::kCommitted) {
+        max_epoch_seen_ = std::max(max_epoch_seen_, ve);
+        claim_touch_.erase(ve);
+      }
+      auto mine = LoadClaim(ve);
+      if (EpochClaimRecord::Merge(mine, pushed) == mine) continue;
+      if (pushed.state == ClaimState::kClaimed) {
+        if (fenced_epochs_.count(ve) > 0) continue;
+        claim_touch_[ve] = host_->network()->simulator()->now();
+      } else if (pushed.state == ClaimState::kBurnPromised) {
+        claim_touch_.erase(ve);
+      }
+      put(value);
+      continue;
+    }
+    if (keys::Tag(key) == keys::kCoordTag) {
+      // Coordinator records replicate store-if-absent like everything else,
+      // EXCEPT when replicas disagree about a (rel, epoch)'s writer —
+      // possible only after the commit-gate backstop fired under a
+      // claim-replica wipeout. Store-if-absent would then freeze the
+      // disagreement forever (neither writer's pushes could ever overwrite
+      // the other's replicas); merging toward the smaller participant makes
+      // every replica CONVERGE to one deterministic writer per epoch
+      // instead.
+      if (versioned && fenced_epochs_.count(ve) > 0) {
+        continue;  // burned epoch: never rebuild its coordinator chain
+      }
+      auto curv = store_.Get(key);
+      if (!curv.ok()) {
+        put(value);
+      } else {
+        Reader pr(value);
+        Reader cr(curv.value());
+        CoordinatorRecord pushed, mine;
+        if (CoordinatorRecord::DecodeFrom(&pr, &pushed).ok() &&
+            CoordinatorRecord::DecodeFrom(&cr, &mine).ok() &&
+            pushed.participant != 0 && mine.participant != 0 &&
+            pushed.participant < mine.participant) {
+          put(value);
+        }
+      }
+      continue;
+    }
+    // Fence filter on store-if-absent: a stale pusher that missed a fence
+    // must not resurrect the purged orphans here.
+    if (versioned && fenced_epochs_.count(ve) > 0) continue;
+    if (!store_.Contains(key)) put(value);
+    if (keys::Tag(key) == keys::kCatalogTag) {
+      Reader cr(value);
+      RelationDef def;
+      if (RelationDef::DecodeFrom(&cr, &def).ok()) catalog_[def.name] = def;
+    }
+  }
+  ChargeCpu(costs.tuple_write_us * static_cast<double>(n) +
+            costs.index_entry_us * static_cast<double>(marked));
+  // Piggybacked GC watermarks: a freshly restarted node (its table resets
+  // empty) learns every participant's mark from the first replica push
+  // instead of waiting for the next advertisements (and arms its retirement
+  // index). Conversely, a push from a node that lags OUR watermark may have
+  // resurrected already-retired records: their marks are due, and
+  // retirement runs once for the whole push.
+  for (const auto& [p, m] : pushed_marks) MergeParticipantMark(p, m);
+  Epoch effective = EffectiveParticipantWatermark();
+  if (effective > gc_watermark_) AdvanceGc(effective);
+  ScheduleRetirement();
+  return Status::OK();
+}
+
+Status StorageService::HandleSetWatermark(net::NodeId /*from*/, Reader* r,
+                                          Writer* /*reply*/) {
+  uint32_t participant;
+  uint64_t w;
+  ORC_RETURN_IF_ERROR(r->GetVarint32(&participant));
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&w));
+  SetParticipantWatermark(participant, w);
+  return Status::OK();
+}
+
+Status StorageService::HandlePurgeEpoch(net::NodeId /*from*/, Reader* r,
+                                        Writer* /*reply*/) {
+  // One-way fence propagation from a successful fence round: record the
+  // burn and purge local orphans. Safe against races by construction —
+  // MergeFencedEpoch refuses to touch a committed epoch.
+  uint64_t epoch, nonce;
+  uint32_t participant;
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&epoch));
+  ORC_RETURN_IF_ERROR(r->GetVarint32(&participant));
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&nonce));
+  MergeFencedEpoch(epoch, participant, nonce);
+  return Status::OK();
+}
+
+Status StorageService::HandleReleaseEpoch(net::NodeId /*from*/, Reader* r,
+                                          Writer* /*reply*/) {
+  // One-way claim cleanup from a failed publish: delete the claim only if it
+  // is still the EXACT instance the releaser stored — matched by
+  // (participant, nonce). A successor claimant's slot is not ours to clear,
+  // and neither is a NEWER attempt of the same participant (a delayed
+  // release from a dead attempt must not unpin the epoch its retry
+  // re-claimed and is writing at).
+  uint64_t epoch, nonce;
+  uint32_t participant;
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&epoch));
+  ORC_RETURN_IF_ERROR(r->GetVarint32(&participant));
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&nonce));
+  auto stored = LoadClaim(epoch);
+  if (stored && stored->participant == participant && stored->nonce == nonce &&
+      stored->state == ClaimState::kClaimed) {
+    // A burn is NOT the releaser's to clear either: it must survive so the
+    // epoch stays dead for everyone.
+    store_.Delete(keys::EpochClaim(epoch)).ok();
+    claim_touch_.erase(epoch);
+  }
+  return Status::OK();
+}
+
+Status StorageService::HandlePutPage(net::NodeId /*from*/, Reader* r,
+                                     Writer* reply) {
+  uint64_t n;
+  if (!r->GetVarint64(&n).ok()) return Status::Corruption("bad page frame");
   Writer refused;  // frame indices of refused deltas
   uint64_t n_refused = 0, fenced = 0;
   Epoch fenced_epoch = 0;
@@ -625,16 +604,12 @@ void StorageService::HandlePutPage(net::NodeId from, Reader* r,
   for (uint64_t i = 0; i < n; ++i) {
     PageWrite pw;
     Page page;
-    if (!PageWrite::DecodeFrom(r, &pw).ok()) {
-      Respond(from, req_id, Status::Corruption("bad page"), {});
-      return;
-    }
+    if (!PageWrite::DecodeFrom(r, &pw).ok()) return Status::Corruption("bad page");
     if (pw.kind == PageWrite::Kind::kFull) {
       // A whole page is validated with a full decode and stored verbatim.
       Reader pr(pw.page_bytes);
       if (!Page::DecodeFrom(&pr, &page).ok() || !pr.AtEnd()) {
-        Respond(from, req_id, Status::Corruption("bad page"), {});
-        return;
+        return Status::Corruption("bad page");
       }
       pw.desc = page.desc;
     }
@@ -663,16 +638,11 @@ void StorageService::HandlePutPage(net::NodeId from, Reader* r,
   }
   if (fenced > 0) {
     counters_.fenced_writes_refused += fenced;
-    Respond(from, req_id,
-            Status::Fenced("page write at fenced epoch " +
-                           std::to_string(fenced_epoch)),
-            {});
-    return;
+    return Status::Fenced("page write at fenced epoch " + std::to_string(fenced_epoch));
   }
-  Writer body;
-  body.PutVarint64(n_refused);
-  body.PutRaw(refused.data().data(), refused.size());
-  Respond(from, req_id, Status::OK(), body.Release());
+  reply->PutVarint64(n_refused);
+  reply->PutRaw(refused.data().data(), refused.size());
+  return Status::OK();
 }
 
 void StorageService::StorePage(const PageId& id, std::string_view page_bytes,
@@ -713,8 +683,8 @@ void StorageService::StoreClaim(Epoch epoch, const EpochClaimRecord& rec) {
   MarkGroup(key, epoch);
 }
 
-void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
-                                      uint64_t req_id) {
+Status StorageService::HandleClaimEpoch(net::NodeId /*from*/, Reader* r,
+                                        Writer* reply) {
   // The pre-write serialization point of multi-writer publishing. Body:
   // epoch, participant, claimant node, attempt nonce. Grant rules, in order:
   //   * empty slot                        -> store, grant;
@@ -735,80 +705,63 @@ void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
   uint32_t participant, claimant_node;
   if (!r->GetVarint64(&epoch).ok() || !r->GetVarint32(&participant).ok() ||
       !r->GetVarint32(&claimant_node).ok() || !r->GetVarint64(&nonce).ok()) {
-    Respond(from, req_id, Status::Corruption("bad epoch claim"), {});
-    return;
+    return Status::Corruption("bad epoch claim");
   }
   ChargeCpu(host_->network()->costs().tuple_scan_us);
-  // kConfirmEpoch raises a claim to kCommitted once the epoch's coordinator
-  // records are all written; an idempotent re-grant preserves the state (a
-  // publisher retrying a publish that failed after its commit round must
-  // not un-commit the epoch).
-  auto grant = [&](ClaimState state, uint64_t stored_nonce) {
-    StoreClaim(epoch,
-               EpochClaimRecord{participant, claimant_node, state, stored_nonce});
-    counters_.claims_granted += 1;
-    // The freshness clock a fence races against: every grant (including the
-    // owner's periodic refresh re-grants) resets the staleness TTL.
-    claim_touch_[epoch] = host_->network()->simulator()->now();
-    Respond(from, req_id, Status::OK(), {});
-  };
   // Unanimity-table backstop: a burned epoch stays refused even after its
   // claim record was GC'd below the watermark (the in-memory burned set
   // outlives the record; pushes and kPurgeEpoch keep re-seeding it).
   if (fenced_epochs_.count(epoch) > 0) {
     const FencedInstance& inst = fenced_epochs_[epoch];
     counters_.claims_refused += 1;
-    Writer wb;
-    wb.PutVarint32(inst.participant);
-    wb.PutVarint32(0);
-    wb.PutVarint64(inst.nonce);
-    Respond(from, req_id,
-            Status::Fenced("epoch " + std::to_string(epoch) +
-                           " burned by abandonment fencing"),
-            wb.Release());
-    return;
+    reply->PutVarint32(inst.participant);
+    reply->PutVarint32(0);
+    reply->PutVarint64(inst.nonce);
+    return Status::Fenced("epoch " + std::to_string(epoch) +
+                          " burned by abandonment fencing");
   }
-  // A malformed slot reads as empty, like an absent one.
+  // A malformed slot reads as empty, like an absent one. A purged burn is
+  // always in fenced_epochs_ (refused above). A bare burn promise (a fence
+  // round touched this replica; unanimity unknown — the epoch may yet
+  // commit through a heal, or harden to a purged burn) is refused like an
+  // ordinary taken slot so the requester waits and resolves it through the
+  // probe/fence machinery instead of skipping an epoch that might still
+  // commit. Deliberately NO owner re-grant for it: silently clearing the
+  // promise would reopen the confirm-vs-fence race the promise exists to
+  // close — the owner retires its own instance with a self-fence instead.
   auto stored = LoadClaim(epoch);
-  if (!stored) {
-    grant(ClaimState::kClaimed, nonce);
-    return;
+  const bool promised = stored && stored->state == ClaimState::kBurnPromised;
+  if (stored && (promised || stored->participant != participant)) {
+    counters_.claims_refused += 1;
+    reply->PutVarint32(stored->participant);
+    reply->PutVarint32(stored->node);
+    reply->PutVarint64(stored->nonce);
+    return Status::EpochTaken(StrCat({"epoch ", std::to_string(epoch),
+                                      promised ? " burn-promised under" : " claimed by",
+                                      " participant ",
+                                      std::to_string(stored->participant)}));
   }
-  // A purged burn is always in fenced_epochs_ (refused above). A bare burn
-  // promise (a fence round touched this replica; unanimity unknown — the
-  // epoch may yet commit through a heal, or harden to a purged burn) is
-  // refused like an ordinary taken slot so the requester waits and resolves
-  // it through the probe/fence machinery instead of skipping an epoch that
-  // might still commit. Deliberately NO owner re-grant for it: silently
-  // clearing the promise would reopen the confirm-vs-fence race the promise
-  // exists to close — the owner retires its own instance with a self-fence
-  // instead.
-  const bool promised = stored->state == ClaimState::kBurnPromised;
-  if (!promised && stored->participant == participant) {
-    // Idempotent re-grant. The stored nonce only moves FORWARD (attempt
-    // nonces are monotonic per publisher): a DELAYED claim from an old
-    // attempt must not roll the instance back, or the old attempt's equally
-    // delayed release could match again and unpin the epoch the newest
-    // attempt is writing at.
-    grant(stored->state, std::max(stored->nonce, nonce));
-    return;
-  }
-  counters_.claims_refused += 1;
-  Writer wb;
-  wb.PutVarint32(stored->participant);
-  wb.PutVarint32(stored->node);
-  wb.PutVarint64(stored->nonce);
-  Respond(from, req_id,
-          Status::EpochTaken(StrCat({"epoch ", std::to_string(epoch),
-                                     promised ? " burn-promised under"
-                                              : " claimed by",
-                                     " participant ",
-                                     std::to_string(stored->participant)})),
-          wb.Release());
+  // Grant an empty slot, or re-grant the same participant idempotently.
+  // kConfirmEpoch raises a claim to kCommitted once the epoch's coordinator
+  // records are all written; a re-grant preserves the state (a publisher
+  // retrying a publish that failed after its commit round must not
+  // un-commit the epoch). The stored nonce only moves FORWARD (attempt
+  // nonces are monotonic per publisher): a DELAYED claim from an old attempt
+  // must not roll the instance back, or the old attempt's equally delayed
+  // release could match again and unpin the epoch the newest attempt is
+  // writing at.
+  StoreClaim(epoch, EpochClaimRecord{participant, claimant_node,
+                                     stored ? stored->state : ClaimState::kClaimed,
+                                     stored ? std::max(stored->nonce, nonce) : nonce});
+  counters_.claims_granted += 1;
+  // The freshness clock a fence races against: every grant (including the
+  // owner's periodic refresh re-grants) resets the staleness TTL.
+  claim_touch_[epoch] = host_->network()->simulator()->now();
+  return Status::OK();
 }
 
-void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
-                                      uint64_t req_id) {
+Status StorageService::HandleFenceEpoch(net::NodeId /*from*/, Reader* r,
+                                        Writer* reply) {
   // Abandonment fencing (see kFenceEpoch in service.h). Decision order:
   //   1. already fenced            -> idempotent grant (another fencer won a
   //                                   race, or this is a retry);
@@ -840,51 +793,32 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
   if (!r->GetVarint64(&epoch).ok() || !r->GetVarint32(&fencer).ok() ||
       !r->GetVarint32(&fenced_participant).ok() ||
       !r->GetVarint64(&ttl_us).ok()) {
-    Respond(from, req_id, Status::Corruption("bad fence request"), {});
-    return;
+    return Status::Corruption("bad fence request");
   }
   ChargeCpu(host_->network()->costs().tuple_scan_us);
   auto stored = LoadClaim(epoch);
-  auto grant = [&](const EpochClaimRecord& inst) {
-    counters_.fences_granted += 1;
-    Writer wb;
-    wb.PutVarint32(inst.participant);
-    wb.PutVarint32(inst.node);
-    wb.PutVarint64(inst.nonce);
-    Respond(from, req_id, Status::OK(), wb.Release());
-  };
-  if (stored && (stored->state == ClaimState::kBurnPromised ||
-                 stored->state == ClaimState::kPurged)) {
-    grant(*stored);
-    return;
-  }
-  auto refuse = [&](Status st) {
-    counters_.fences_refused += 1;
-    Respond(from, req_id, st, {});
-  };
-  if (epoch <= max_epoch_seen_) {
-    refuse(Status::EpochTaken("fence refused: epoch " + std::to_string(epoch) +
-                              " is at or behind the confirmed frontier"));
-    return;
-  }
-  if (stored && stored->state == ClaimState::kCommitted) {
-    refuse(Status::EpochTaken("fence refused: epoch " + std::to_string(epoch) +
-                              " committed by participant " +
-                              std::to_string(stored->participant)));
-    return;
-  }
-  if (stored && stored->participant != fenced_participant) {
-    refuse(Status::EpochTaken(
+  const bool burned = stored && (stored->state == ClaimState::kBurnPromised ||
+                                 stored->state == ClaimState::kPurged);
+  Status refused = Status::OK();
+  if (burned) {
+    // Granted again below, naming the stored instance.
+  } else if (epoch <= max_epoch_seen_) {
+    refused = Status::EpochTaken("fence refused: epoch " + std::to_string(epoch) +
+                                 " is at or behind the confirmed frontier");
+  } else if (stored && stored->state == ClaimState::kCommitted) {
+    refused = Status::EpochTaken("fence refused: epoch " + std::to_string(epoch) +
+                                 " committed by participant " +
+                                 std::to_string(stored->participant));
+  } else if (stored && stored->participant != fenced_participant) {
+    refused = Status::EpochTaken(
         "fence refused: epoch " + std::to_string(epoch) + " now held by " +
         std::to_string(stored->participant) + ", not " +
-        std::to_string(fenced_participant)));
-    return;
-  }
-  // A self-fence (the owner retiring its own instance — it discovered a
-  // partial burn it can neither commit through nor safely abandon) waives
-  // the freshness check: the clock protects the owner, and the owner is the
-  // requester.
-  if (stored && fencer != fenced_participant) {
+        std::to_string(fenced_participant));
+  } else if (stored && fencer != fenced_participant) {
+    // A self-fence (the owner retiring its own instance — it discovered a
+    // partial burn it can neither commit through nor safely abandon) waives
+    // the freshness check: the clock protects the owner, and the owner is
+    // the requester.
     auto touch = claim_touch_.find(epoch);
     sim::SimTime now = host_->network()->simulator()->now();
     if (touch == claim_touch_.end()) {
@@ -893,22 +827,29 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
       // owner, if live, gets one TTL of grace to heartbeat it; a truly
       // abandoned claim is fenceable one TTL later.
       claim_touch_[epoch] = now;
-      refuse(Status::Unavailable("fence refused: claim owner of epoch " +
-                                 std::to_string(epoch) +
-                                 " has unknown freshness; seeded"));
-      return;
-    }
-    if (now - touch->second < static_cast<sim::SimTime>(ttl_us)) {
-      refuse(Status::Unavailable("fence refused: claim owner of epoch " +
-                                 std::to_string(epoch) + " is still fresh"));
-      return;
+      refused = Status::Unavailable("fence refused: claim owner of epoch " +
+                                    std::to_string(epoch) +
+                                    " has unknown freshness; seeded");
+    } else if (now - touch->second < static_cast<sim::SimTime>(ttl_us)) {
+      refused = Status::Unavailable("fence refused: claim owner of epoch " +
+                                    std::to_string(epoch) + " is still fresh");
     }
   }
-  EpochClaimRecord burned = stored.value_or(EpochClaimRecord{fenced_participant});
-  burned.state = ClaimState::kBurnPromised;
-  StoreClaim(epoch, burned);
-  claim_touch_.erase(epoch);
-  grant(burned);
+  if (!refused.ok()) {
+    counters_.fences_refused += 1;
+    return refused;
+  }
+  EpochClaimRecord inst = stored.value_or(EpochClaimRecord{fenced_participant});
+  if (!burned) {
+    inst.state = ClaimState::kBurnPromised;
+    StoreClaim(epoch, inst);
+    claim_touch_.erase(epoch);
+  }
+  counters_.fences_granted += 1;
+  reply->PutVarint32(inst.participant);
+  reply->PutVarint32(inst.node);
+  reply->PutVarint64(inst.nonce);
+  return Status::OK();
 }
 
 void StorageService::MergeFencedEpoch(Epoch epoch, ParticipantId participant,
@@ -1017,7 +958,8 @@ void StorageService::PurgeEpochLocal(Epoch epoch) {
             static_cast<double>(scanned + doomed.size()));
 }
 
-void StorageService::HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id) {
+Status StorageService::HandleScanPage(net::NodeId /*from*/, Reader* r,
+                                      Writer* reply) {
   uint64_t scan_id, attempt, n;
   uint32_t requester;
   std::string rel;
@@ -1026,13 +968,9 @@ void StorageService::HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id
       !r->GetU32(&requester).ok() ||
       !r->GetString(&rel).ok() || !KeyFilter::DecodeFrom(r, &filter).ok() ||
       !r->GetVarint64(&n).ok()) {
-    Respond(from, req_id, Status::Corruption("bad scan request"), {});
-    return;
+    return Status::Corruption("bad scan request");
   }
-  if (FindRelation(rel) == nullptr) {
-    Respond(from, req_id, Status::NotFound("no relation " + rel), {});
-    return;
-  }
+  if (FindRelation(rel) == nullptr) return Status::NotFound("no relation " + rel);
 
   // Group the surviving tuple ids of every page in the frame by their data
   // storage node (Algorithm 1 line 8), routing on the hashes carried in the
@@ -1043,8 +981,7 @@ void StorageService::HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id
   for (uint64_t i = 0; i < n; ++i) {
     PageDescriptor desc;
     if (!PageDescriptor::DecodeFrom(r, &desc).ok()) {
-      Respond(from, req_id, Status::Corruption("bad scan request"), {});
-      return;
+      return Status::Corruption("bad scan request");
     }
     auto page = ReadPageLocal(desc.id);
     if (!page.ok()) {
@@ -1077,15 +1014,15 @@ void StorageService::HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id
   }
 
   // Frame summary back to the requester so it can count completion.
-  Writer w;
-  w.PutVarint64(by_owner.size());
-  w.PutVarint64(total_ids);
-  w.PutVarint64(n_refused);
-  w.PutRaw(refused.data().data(), refused.size());
-  Respond(from, req_id, Status::OK(), w.Release());
+  reply->PutVarint64(by_owner.size());
+  reply->PutVarint64(total_ids);
+  reply->PutVarint64(n_refused);
+  reply->PutRaw(refused.data().data(), refused.size());
+  return Status::OK();
 }
 
-void StorageService::HandleFetchTuples(net::NodeId /*from*/, Reader* r) {
+Status StorageService::HandleFetchTuples(net::NodeId /*from*/, Reader* r,
+                                         Writer* /*reply*/) {
   uint64_t scan_id, attempt;
   uint32_t requester;
   std::string rel;
@@ -1093,7 +1030,7 @@ void StorageService::HandleFetchTuples(net::NodeId /*from*/, Reader* r) {
   if (!r->GetU64(&scan_id).ok() || !r->GetVarint64(&attempt).ok() ||
       !r->GetU32(&requester).ok() || !r->GetString(&rel).ok() ||
       !r->GetVarint64(&n).ok()) {
-    return;
+    return Status::Corruption("bad fetch frame");
   }
   Writer out;
   out.PutU64(scan_id);
@@ -1113,7 +1050,7 @@ void StorageService::HandleFetchTuples(net::NodeId /*from*/, Reader* r) {
         TupleId{std::string(id.key_bytes), id.epoch}.EncodeTo(&missing);
         ++missing_n;
       });
-  if (!st.ok()) return;
+  if (!st.ok()) return st;
   counters_.tuples_served += rows_n;
   out.PutString(rel);
   out.PutVarint64(rows_n);
@@ -1123,38 +1060,39 @@ void StorageService::HandleFetchTuples(net::NodeId /*from*/, Reader* r) {
   // Direct to the requester, "bypassing the Index node and Relation
   // Coordinator" (Algorithm 1 line 9).
   SendOneWay(requester, kTupleData, out.Release());
+  return Status::OK();
 }
 
-void StorageService::HandleTupleData(net::NodeId /*from*/, Reader* r) {
+Status StorageService::HandleTupleData(net::NodeId /*from*/, Reader* r,
+                                       Writer* /*reply*/) {
   uint64_t scan_id, attempt;
   std::string rel;
   if (!r->GetU64(&scan_id).ok() || !r->GetVarint64(&attempt).ok() ||
       !r->GetString(&rel).ok()) {
-    return;
+    return Status::Corruption("bad tuple data frame");
   }
   auto it = scans_.find(scan_id);
-  if (it == scans_.end()) return;  // scan already failed/finished
+  if (it == scans_.end()) return Status::OK();  // scan already failed/finished
   auto at = it->second.attempts.find(attempt);
-  if (at == it->second.attempts.end()) return;  // its frame failed over
+  if (at == it->second.attempts.end()) return Status::OK();  // frame failed over
   ScanState::Attempt& part = at->second;
 
   uint64_t rows_n;
-  if (!r->GetVarint64(&rows_n).ok()) return;
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&rows_n));
   for (uint64_t i = 0; i < rows_n; ++i) {
     Tuple t;
-    if (!DecodeTuple(r, &t).ok()) return;
+    ORC_RETURN_IF_ERROR(DecodeTuple(r, &t));
     part.rows.push_back(std::move(t));
   }
   uint64_t missing_n;
-  if (!r->GetVarint64(&missing_n).ok()) return;
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&missing_n));
   std::vector<TupleId> missing(missing_n);
-  for (auto& id : missing) {
-    if (!TupleId::DecodeFrom(r, &id).ok()) return;
-  }
+  for (auto& id : missing) ORC_RETURN_IF_ERROR(TupleId::DecodeFrom(r, &id));
   part.parts_received += 1;
   part.lookups_outstanding += missing.size();
   for (const auto& id : missing) RecoverMissingTuple(scan_id, attempt, id);
   ScanCheckDone(scan_id);
+  return Status::OK();
 }
 
 // --------------------------------------------------------------------------

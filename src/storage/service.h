@@ -57,7 +57,7 @@ enum StorageCode : uint16_t {
   kPutCoordinator = 4,
   kGetCoordinator = 5,
   kGetPage = 6,
-  kGetInverse = 7,
+  // 7 is retired (kGetInverse: read an inverse-node record; nothing sent it).
   kGetTuple = 8,
   // Algorithm 1, step 4: one scan frame per index node and Retrieve, naming
   // every page of the epoch that node serves at the current replica index.
@@ -401,9 +401,32 @@ class StorageService : public net::Service {
     void EndGroup();
   };
 
-  void Respond(net::NodeId to, uint64_t req_id, Status st, std::string body);
+  // One handler per row of OnMessage's dispatch table. A request handler
+  // fills `reply` and returns the status that goes back with it; a one-way
+  // handler's status is dropped. A malformed body returns Corruption.
+  Status HandleReply(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleCatalogAdd(net::NodeId from, Reader* r, Writer* reply);
+  Status HandlePutTuples(net::NodeId from, Reader* r, Writer* reply);
   /// kPutPage: stores every entry of a page-write frame.
-  void HandlePutPage(net::NodeId from, Reader* r, uint64_t req_id);
+  Status HandlePutPage(net::NodeId from, Reader* r, Writer* reply);
+  Status HandlePutCoordinator(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleGetCoordinator(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleGetPage(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleGetTuple(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleScanPage(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleFetchTuples(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleTupleData(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleReplicaPush(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleGetMaxEpoch(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleSetWatermark(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleClaimEpoch(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleGetEpochClaim(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleReleaseEpoch(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleConfirmEpoch(net::NodeId from, Reader* r, Writer* reply);
+  Status HandleFenceEpoch(net::NodeId from, Reader* r, Writer* reply);
+  Status HandlePurgeEpoch(net::NodeId from, Reader* r, Writer* reply);
+  /// The stored record at `key` as the reply body, or the store's status.
+  Status ServeRecord(std::string_view key, Writer* reply) const;
   /// Stores one page version (its full encoding), updates the inverse node,
   /// and marks the partition's version group. A write above the watermark
   /// also makes the group due now, so a hot partition's superseded versions
@@ -440,8 +463,6 @@ class StorageService : public net::Service {
   std::optional<EpochClaimRecord> LoadClaim(Epoch epoch) const;
   /// Writes the claim record for `epoch` and marks the claim family.
   void StoreClaim(Epoch epoch, const EpochClaimRecord& rec);
-  void HandleClaimEpoch(net::NodeId from, Reader* r, uint64_t req_id);
-  void HandleFenceEpoch(net::NodeId from, Reader* r, uint64_t req_id);
   /// Records `epoch` as burned (fenced instance = participant/nonce), stores
   /// its claim record as kPurged, and purges local orphan versions — a
   /// no-op if the local claim committed (a commit is a fact a fence never
@@ -452,10 +473,6 @@ class StorageService : public net::Service {
   /// newest surviving version, or dropped when none survives), so discovery
   /// never sees torn state after a fence.
   void PurgeEpochLocal(Epoch epoch);
-  void HandleRequest(net::NodeId from, uint16_t code, Reader* r, uint64_t req_id);
-  void HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id);
-  void HandleFetchTuples(net::NodeId from, Reader* r);
-  void HandleTupleData(net::NodeId from, Reader* r);
   void ScanCheckDone(uint64_t scan_id);
   void ScanFail(uint64_t scan_id, Status st);
   /// Sends each page to its replica at `replica_idx`, one kScanPage frame

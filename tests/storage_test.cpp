@@ -1382,16 +1382,9 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   EXPECT_EQ(AsBag(*at2), AsBag({Row("a", "1"), Row("b", "2")}));
   // No node's inverse entry aims at the purged page (torn discovery state).
   for (size_t n = 0; n < dep->size(); ++n) {
-    Writer iw;
-    iw.PutString("R");
-    iw.PutVarint32(part);
-    auto [is, ibytes] = Rpc(static_cast<net::NodeId>(n), kGetInverse,
-                            iw.Release());
-    if (!is.ok()) continue;  // no entry at all is fine
-    Reader ir(ibytes);
-    PageId aimed;
-    ASSERT_TRUE(PageId::DecodeFrom(&ir, &aimed).ok());
-    EXPECT_NE(aimed.epoch, 3u) << "node " << n << " inverse aims at purged page";
+    auto aimed = dep->storage(n).ReadInverseLocal("R", part);
+    if (!aimed.ok()) continue;  // no entry at all is fine
+    EXPECT_NE(aimed->epoch, 3u) << "node " << n << " inverse aims at purged page";
   }
 
   // The fenced instance's late same-epoch writes are refused everywhere.
