@@ -49,13 +49,12 @@ struct DeploymentOptions {
   sim::SimTime fence_after_us = 0;
   /// Per-node LocalStore tuning (compaction thresholds); harnesses lower the
   /// compaction floor so small stores still exercise the GC->compact path.
+  /// Every node gets its own deterministic in-memory WAL backend
+  /// (wal::MemoryBackend) in place of `store.wal_backend`: KillNode models a
+  /// real crash — unsynced WAL bytes are torn away — and RestartNode
+  /// rebuilds the store from the newest checkpoint plus the surviving tail
+  /// (docs/DURABILITY.md).
   localstore::StoreOptions store;
-  /// Durability: give every node a deterministic in-memory WAL backend
-  /// (wal::MemoryBackend). KillNode then models a real crash — unsynced WAL
-  /// bytes are torn away — and RestartNode rebuilds the store from the
-  /// newest checkpoint plus the surviving tail (docs/DURABILITY.md). Off
-  /// reverts to the seed behavior where the record log itself survives.
-  bool durable_wal = true;
   /// Per-node client::Session tuning: the participant and the publish
   /// window. Defaults pipeline up to 4 publishes per session.
   /// Leave `session.participant` at 0: every node's session then publishes
@@ -84,8 +83,8 @@ class Deployment {
   /// below all route through it.
   client::Session& session(size_t i) { return *sessions_[i]; }
   std::shared_ptr<storage::SnapshotBoard> board() { return board_; }
-  /// Node i's WAL backend (null when `durable_wal` is off). Harnesses use it
-  /// to inspect crash/torn-tail counters and to stage fault injection.
+  /// Node i's WAL backend. Harnesses use it to inspect crash/torn-tail
+  /// counters and to stage fault injection.
   const std::shared_ptr<wal::MemoryBackend>& wal_backend(size_t i) const {
     return wal_backends_[i];
   }
@@ -149,8 +148,8 @@ class Deployment {
                                           query::QueryOptions options = {});
 
  private:
-  /// Copies options_.store and, with `durable_wal`, injects a fresh
-  /// MemoryBackend (recorded in wal_backends_) for the node being built.
+  /// Copies options_.store and injects a fresh MemoryBackend (recorded in
+  /// wal_backends_) for the node being built.
   localstore::StoreOptions StoreOptionsForNewNode();
 
   DeploymentOptions options_;

@@ -693,8 +693,9 @@ Status QueryService::ReadScanIds(Exec& ex, int32_t scan_op, Reader* r, uint64_t 
   const uint64_t qid = ex.query_id;
   auto fetch = [&](const storage::keys::WireId& id) {
     ex.scans[scan_op].async_outstanding += 1;
+    // This node's own read just missed it: ask the other replicas.
     storage_->FetchTuple(rel, storage::TupleId{std::string(id.key_bytes), id.epoch},
-                         [this, qid, scan_op, taint](Status st, Tuple t) {
+                         node(), [this, qid, scan_op, taint](Status st, Tuple t) {
                            Exec* ex2 = FindExec(qid);
                            if (ex2 == nullptr) return;
                            ex2->scans[scan_op].async_outstanding -= 1;

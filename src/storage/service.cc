@@ -1063,7 +1063,7 @@ Status StorageService::HandleFetchTuples(net::NodeId /*from*/, Reader* r,
   return Status::OK();
 }
 
-Status StorageService::HandleTupleData(net::NodeId /*from*/, Reader* r,
+Status StorageService::HandleTupleData(net::NodeId from, Reader* r,
                                        Writer* /*reply*/) {
   uint64_t scan_id, attempt;
   std::string rel;
@@ -1090,7 +1090,8 @@ Status StorageService::HandleTupleData(net::NodeId /*from*/, Reader* r,
   for (auto& id : missing) ORC_RETURN_IF_ERROR(TupleId::DecodeFrom(r, &id));
   part.parts_received += 1;
   part.lookups_outstanding += missing.size();
-  for (const auto& id : missing) RecoverMissingTuple(scan_id, attempt, id);
+  // `from` is the data node that just found these ids missing.
+  for (const auto& id : missing) RecoverMissingTuple(scan_id, attempt, id, from);
   ScanCheckDone(scan_id);
   return Status::OK();
 }
@@ -1246,6 +1247,7 @@ void StorageService::StartPageScans(uint64_t scan_id,
 }
 
 void StorageService::FetchTuple(const std::string& rel, const TupleId& id,
+                                net::NodeId missed_at,
                                 std::function<void(Status, Tuple)> cb) {
   const RelationDef* def = FindRelation(rel);
   if (def == nullptr) {
@@ -1254,6 +1256,8 @@ void StorageService::FetchTuple(const std::string& rel, const TupleId& id,
   }
   auto replicas =
       board_->current.ReplicasOf(PlacementHash(*def, id.key_bytes), replication_);
+  replicas.erase(std::remove(replicas.begin(), replicas.end(), missed_at),
+                 replicas.end());
   Writer w;
   w.PutString(rel);
   id.EncodeTo(&w);
@@ -1276,10 +1280,10 @@ void StorageService::FetchTuple(const std::string& rel, const TupleId& id,
 }
 
 void StorageService::RecoverMissingTuple(uint64_t scan_id, uint64_t attempt,
-                                         const TupleId& id) {
+                                         const TupleId& id, net::NodeId missed_at) {
   auto it = scans_.find(scan_id);
   if (it == scans_.end()) return;
-  FetchTuple(it->second.relation, id, [this, scan_id, attempt](Status st, Tuple t) {
+  FetchTuple(it->second.relation, id, missed_at, [this, scan_id, attempt](Status st, Tuple t) {
     auto sit = scans_.find(scan_id);
     if (sit == scans_.end()) return;
     auto at = sit->second.attempts.find(attempt);

@@ -218,9 +218,10 @@ class StorageService : public net::Service {
   void Retrieve(const std::string& rel, Epoch epoch, const KeyFilter& filter,
                 RetrieveCallback cb);
   /// Fetches one tuple version, trying each replica of its data node in turn
-  /// (RpcClient::CallFirst). Every scan recovers a version ReadIdList found
+  /// (RpcClient::CallFirst) except `missed_at`, the node whose read just
+  /// found it missing. Every scan recovers a version ReadIdList found
   /// missing through here (a stale replica, §IV).
-  void FetchTuple(const std::string& rel, const TupleId& id,
+  void FetchTuple(const std::string& rel, const TupleId& id, net::NodeId missed_at,
                   std::function<void(Status, Tuple)> cb);
 
   /// Re-replicates local state according to `snap` (background replication
@@ -479,9 +480,10 @@ class StorageService : public net::Service {
   /// per index node; refused or failed pages move on to the next replica.
   void StartPageScans(uint64_t scan_id, const std::vector<PageDescriptor>& descs,
                       size_t replica_idx);
-  /// FetchTuple for a Retrieve scan's missing id; the row counts only while
-  /// the scan and its attempt are live.
-  void RecoverMissingTuple(uint64_t scan_id, uint64_t attempt, const TupleId& id);
+  /// FetchTuple for a Retrieve scan's id that `missed_at` found missing; the
+  /// row counts only while the scan and its attempt are live.
+  void RecoverMissingTuple(uint64_t scan_id, uint64_t attempt, const TupleId& id,
+                           net::NodeId missed_at);
 
   void ChargeCpu(double micros) { host_->network()->ChargeCpu(node(), micros); }
 

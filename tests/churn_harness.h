@@ -133,8 +133,8 @@ struct ChurnOptions {
   // Also retrieve at one retained historical epoch per check.
   bool verify_history = true;
 
-  // Durability (deployment runs with durable_wal; each node's WAL lives on a
-  // deterministic in-memory backend). `wal_sync_every` / `checkpoint_every`
+  // Durability (each deployment node's WAL lives on a deterministic
+  // in-memory backend). `wal_sync_every` / `checkpoint_every`
   // feed straight into the per-node StoreOptions: sync_every 1 makes every
   // record durable before it is acked (a crash tears nothing), 0 leaves the
   // whole tail unsynced so KillNode genuinely loses suffixes.

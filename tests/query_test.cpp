@@ -528,7 +528,9 @@ TEST_F(QueryClusterTest, ScanCostDoesNotGrowWithRetainedVersions) {
 
 // A version missing from its owner's store (a stale replica, §IV) is
 // recovered from the next replica by FetchTuple, the one fallback of every
-// scan: Retrieve and a one-scan plan each return it exactly once.
+// scan: Retrieve and a one-scan plan each return it exactly once, at the
+// cost of one storage RPC per recovered id (the node that found it missing
+// is not asked again).
 TEST_F(QueryClusterTest, VersionMissingAtItsOwnerIsReadOnceFromAReplica) {
   Deploy(4);
   std::vector<Tuple> rows;
@@ -538,6 +540,26 @@ TEST_F(QueryClusterTest, VersionMissingAtItsOwnerIsReadOnceFromAReplica) {
   LoadRows("R", rows);
   const storage::RelationDef* def = dep->storage(0).FindRelation("R");
   ASSERT_NE(def, nullptr);
+  PlanBuilder b;
+  PhysicalPlan plan = b.Ship(b.Scan("R"));
+  // Storage RPCs started by `op`, summed over the nodes.
+  auto storage_rpcs = [&](const std::function<void()>& op) {
+    auto started = [&] {
+      uint64_t n = 0;
+      for (size_t i = 0; i < dep->size(); ++i) n += dep->storage(i).rpc_counters().started;
+      return n;
+    };
+    const uint64_t before = started();
+    op();
+    return started() - before;
+  };
+  // With every version in place, for reference.
+  const uint64_t retrieve_base = storage_rpcs([&] {
+    ASSERT_TRUE(dep->Retrieve(1, "R", db_epoch).ok());
+  });
+  const uint64_t plan_base = storage_rpcs([&] {
+    ASSERT_TRUE(dep->ExecuteQuery(1, plan, db_epoch).ok());
+  });
   size_t deleted = 0;
   for (size_t i = 0; i < rows.size(); i += 3) {
     std::string kb = storage::EncodeTupleKey(def->schema, rows[i]);
@@ -549,13 +571,15 @@ TEST_F(QueryClusterTest, VersionMissingAtItsOwnerIsReadOnceFromAReplica) {
   }
   ASSERT_EQ(deleted, 20u);
 
-  auto retrieved = dep->Retrieve(1, "R", db_epoch);
+  Result<std::vector<Tuple>> retrieved = Status::Unavailable("not run");
+  EXPECT_EQ(storage_rpcs([&] { retrieved = dep->Retrieve(1, "R", db_epoch); }),
+            retrieve_base + deleted);
   ASSERT_TRUE(retrieved.ok()) << retrieved.status().ToString();
   EXPECT_TRUE(SameBag(*retrieved, rows));
 
-  PlanBuilder b;
-  PhysicalPlan plan = b.Ship(b.Scan("R"));
-  auto result = dep->ExecuteQuery(1, plan, db_epoch);
+  Result<QueryResult> result = Status::Unavailable("not run");
+  EXPECT_EQ(storage_rpcs([&] { result = dep->ExecuteQuery(1, plan, db_epoch); }),
+            plan_base + deleted);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(SameBag(result->rows, rows));
 }

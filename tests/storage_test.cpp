@@ -1409,6 +1409,43 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
 }
 
 // ---------------------------------------------------------------------------
+// Reply contract (docs/WIRE_FORMATS.md "Request/reply envelope"): every
+// request gets exactly one reply.
+
+class ReplyContractTest : public FencingTest {};
+
+// A truncated body is answered with Corruption in one round trip, not with
+// silence that leaves the caller waiting out the RPC deadline; a code with
+// no handler (the retired 7, an unassigned one) with NotSupported.
+TEST_F(ReplyContractTest, EveryRequestIsAnsweredOnce) {
+  auto count_only = [] {  // a frame cut short after its leading count
+    Writer w;
+    w.PutVarint64(1);
+    return w.Release();
+  };
+  // kGetMaxEpoch is missing: its body is empty, so it cannot be cut short.
+  const std::vector<std::pair<uint16_t, std::string>> truncated = {
+      {kCatalogAdd, ""},     {kPutTuples, ""},      {kPutTuples, count_only()},
+      {kPutPage, ""},        {kPutPage, count_only()}, {kPutCoordinator, ""},
+      {kGetCoordinator, ""}, {kGetPage, ""},        {kGetTuple, ""},
+      {kScanPage, ""},       {kReplicaPush, ""},    {kReplicaPush, count_only()},
+      {kClaimEpoch, ""},     {kGetEpochClaim, ""},  {kConfirmEpoch, ""},
+      {kFenceEpoch, ""},
+  };
+  for (const auto& [code, body] : truncated) {
+    const sim::SimTime sent = dep->sim().now();
+    Status st = Rpc(1, code, body).first;
+    EXPECT_TRUE(st.IsCorruption()) << "code " << code << ": " << st.ToString();
+    EXPECT_LT(dep->sim().now() - sent, sim::kMicrosPerSec) << "code " << code;
+  }
+  for (uint16_t code : {uint16_t{7}, uint16_t{99}}) {
+    Status st = Rpc(1, code, "").first;
+    EXPECT_EQ(st.code(), Status::Code::kNotSupported)
+        << "code " << code << ": " << st.ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Page-write frames: delta page versions, full-page fallback, write-time
 // retirement, and publisher page reuse.
 
