@@ -375,7 +375,7 @@ void Publisher::FetchPages(Handle st) {
   // Stage 2: fetch the current page of each affected partition. The paper
   // locates it via the inverse node (§IV); with the coordinator record in
   // hand the descriptor already names it, so we go straight to the index
-  // node. (ReadInverseLocal/kGetInverse expose the inverse-node path too.)
+  // node.
   //
   // Chained publishes: a descriptor at an uncommitted ancestor's epoch names
   // a page that may still be in flight to its index nodes — it MUST be taken

@@ -237,7 +237,7 @@ RULES.append(regex_rule(
     "codec-frame",
     r"\bkPutTuples\b",
     "the kPutTuples nested frame has one encoder (Publisher::IssueWrites) "
-    "and one decoder (StorageService, case kPutTuples); building or parsing "
+    "and one decoder (StorageService::HandlePutTuples); building or parsing "
     "it elsewhere forks the wire format",
     scope=["src/"], exclude=_FRAME_HOME))
 
@@ -265,6 +265,15 @@ RULES.append(regex_rule(
     "raw Network::Send bypasses the RPC lifecycle layer: requests go "
     "through RpcClient::Call (pending-call table, deadline, orphan reap), "
     "replies through RpcClient::SendReply",
+    scope=["src/"], exclude=["src/net/"]))
+
+RULES.append(regex_rule(
+    "rpc-reply",
+    r"\bRpcClient::SendReply\s*\(",
+    "a request handler that sends its own reply can reply twice or not at "
+    "all: handlers return their status and reply body, and the service's "
+    "dispatcher sends the one reply (its single call site carries a "
+    "lint:allow)",
     scope=["src/"], exclude=["src/net/"]))
 
 # --- Hygiene ---------------------------------------------------------------
