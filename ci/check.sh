@@ -252,6 +252,20 @@ for ref_path in sorted(glob.glob("bench/results/BENCH_*.json")):
                     failures.append(
                         f"fig21_recovery: {scale} checkpoint-off replay "
                         f"{off['replayed_records']:.0f} != full log {off['ops']:.0f}")
+            # The paper's Fig. 21 claim: after a node failure, incremental
+            # recovery finishes the query sooner than restarting it, for
+            # every query and failure point the bench measures.
+            restarts = [n for n in f if n.startswith("restart_")]
+            if not restarts:
+                failures.append("fig21_recovery: no restart_<Q>_f<x> entries")
+            for name in sorted(restarts):
+                rest = f[name]
+                rec = f["recovery_" + name[len("restart_"):]]
+                if rec["sim_makespan_s"] >= rest["sim_makespan_s"]:
+                    failures.append(
+                        f"fig21_recovery: {rec['name']} sim makespan "
+                        f"{rec['sim_makespan_s']:.4f} s >= {name} "
+                        f"{rest['sim_makespan_s']:.4f} s")
             on100 = f["recover_100x_ckpt_on"]
             off100 = f["recover_100x_ckpt_off"]
             if on100["replayed_records"] * 20 > off100["replayed_records"]:

@@ -406,22 +406,7 @@ Status LocalStore::Put(std::string_view key, std::string_view value) {
     ORC_RETURN_IF_ERROR(wal_->AppendPut(key, value));
     ++appends_since_checkpoint_;
   }
-  uint64_t h = HashKey(key);
-  HashMiss miss;
-  size_t hidx = HashFind(h, key, &miss);
-  uint64_t pos = AppendRecord(false, key, value);
-  if (hidx != kNoSlot) {
-    live_[htable_[hidx].idx1 - 1] = pos;  // overwrite: repoint the live slot
-  } else {
-    live_.push_back(pos);
-    auto live_idx = static_cast<uint32_t>(live_.size() - 1);
-    TreeInsert(log_[pos].key(), live_idx);
-    if (HashGrowIfNeeded()) {
-      HashInsert(h, live_idx);  // table replaced; the miss point is stale
-    } else {
-      HashInsertAt(miss, h, live_idx);  // continue from the probe's stop point
-    }
-  }
+  IndexPut(key, value, /*count_stats=*/true);
   stats_.puts += 1;
   stats_.live_records = hcount_;
   MaybeCompact();
@@ -456,8 +441,7 @@ Status LocalStore::Delete(std::string_view key) {
       ++appends_since_checkpoint_;
     }
     AppendRecord(true, key, {});
-    live_[htable_[hidx].idx1 - 1] = kDeadPos;  // the tree skips dead slots
-    HashEraseAt(hidx);
+    Unlink(hidx);
     stats_.deletes += 1;
     stats_.live_records = hcount_;
     MaybeCompact();
@@ -488,36 +472,55 @@ LocalStore::Iterator LocalStore::SeekPrefix(std::string_view prefix) const {
 
 void LocalStore::IndexLiveRecord(uint64_t pos) {
   live_.push_back(pos);
+  live_bytes_ += log_[pos].bytes();
   auto live_idx = static_cast<uint32_t>(live_.size() - 1);
   std::string_view key = log_[pos].key();
   TreeInsert(key, live_idx);
   HashInsert(HashKey(key), live_idx);
 }
 
-void LocalStore::ReplayPut(std::string_view key, std::string_view value) {
+void LocalStore::ClearIndexes() {
+  TreeClear();
+  htable_.clear();
+  hcount_ = 0;
+  live_.clear();
+  live_bytes_ = 0;
+}
+
+void LocalStore::IndexPut(std::string_view key, std::string_view value,
+                          bool count_stats) {
   uint64_t h = HashKey(key);
   HashMiss miss;
   size_t hidx = HashFind(h, key, &miss);
-  uint64_t pos = AppendRecord(false, key, value, /*count_stats=*/false);
+  uint64_t pos = AppendRecord(false, key, value, count_stats);
+  live_bytes_ += log_[pos].bytes();
   if (hidx != kNoSlot) {
-    live_[htable_[hidx].idx1 - 1] = pos;
+    uint64_t& live = live_[htable_[hidx].idx1 - 1];
+    live_bytes_ -= log_[live].bytes();
+    live = pos;  // overwrite: repoint the live slot
   } else {
     live_.push_back(pos);
     auto live_idx = static_cast<uint32_t>(live_.size() - 1);
     TreeInsert(log_[pos].key(), live_idx);
     if (HashGrowIfNeeded()) {
-      HashInsert(h, live_idx);
+      HashInsert(h, live_idx);  // table replaced; the miss point is stale
     } else {
-      HashInsertAt(miss, h, live_idx);
+      HashInsertAt(miss, h, live_idx);  // continue from the probe's stop point
     }
   }
+}
+
+void LocalStore::Unlink(size_t hidx) {
+  uint64_t& live = live_[htable_[hidx].idx1 - 1];
+  live_bytes_ -= log_[live].bytes();
+  live = kDeadPos;  // the tree skips dead slots
+  HashEraseAt(hidx);
 }
 
 void LocalStore::ReplayDelete(std::string_view key) {
   size_t hidx = HashFind(HashKey(key), key);
   if (hidx == kNoSlot) return;  // deleting a key the checkpoint already folded
-  live_[htable_[hidx].idx1 - 1] = kDeadPos;
-  HashEraseAt(hidx);
+  Unlink(hidx);
 }
 
 Status LocalStore::Recover() {
@@ -529,10 +532,7 @@ Status LocalStore::Recover() {
   // tail records replay through the general overwrite/delete path.
   arena_ = Arena();
   log_.clear();
-  TreeClear();
-  htable_.clear();
-  hcount_ = 0;
-  live_.clear();
+  ClearIndexes();
 
   uint64_t tail_records = 0;
   Status st = wal_->Recover([&](wal::RecordType type, std::string_view key,
@@ -545,7 +545,7 @@ Status LocalStore::Recover() {
     if (type == wal::RecordType::kDelete) {
       ReplayDelete(key);
     } else {
-      ReplayPut(key, value);
+      IndexPut(key, value, /*count_stats=*/false);
     }
   });
   stats_.replayed_records += tail_records;
@@ -583,10 +583,7 @@ Status LocalStore::RecoverFromMemoryLog() {
   }
 
   // Rebuild both indexes from the replayed state.
-  TreeClear();
-  htable_.clear();
-  hcount_ = 0;
-  live_.clear();
+  ClearIndexes();
   for (const auto& [key, pos] : rebuilt) IndexLiveRecord(pos);
   stats_.live_records = hcount_;
   if (diverged) {
@@ -595,9 +592,17 @@ Status LocalStore::RecoverFromMemoryLog() {
   return Status::OK();
 }
 
+double LocalStore::dead_fraction() const {
+  if (log_.empty()) return 0.0;
+  double live_records = static_cast<double>(hcount_) / static_cast<double>(log_.size());
+  double live_bytes =
+      static_cast<double>(live_bytes_) / static_cast<double>(arena_.bytes());
+  return 1.0 - std::min(live_records, live_bytes);
+}
+
 void LocalStore::MaybeCompact() {
   if (log_.size() < options_.compaction_min_records) return;
-  if (garbage_ratio() > options_.compaction_garbage_ratio) Compact();
+  if (dead_fraction() > options_.compaction_garbage_ratio) Compact();
 }
 
 Status LocalStore::Checkpoint() {
@@ -645,10 +650,7 @@ void LocalStore::Compact() {
   }
   arena_ = std::move(new_arena);
   log_ = std::move(new_log);
-  TreeClear();
-  htable_.clear();
-  hcount_ = 0;
-  live_.clear();
+  ClearIndexes();
   for (uint64_t pos = 0; pos < log_.size(); ++pos) IndexLiveRecord(pos);
   stats_.compactions += 1;
 }

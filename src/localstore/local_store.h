@@ -65,9 +65,11 @@ struct StoreStats {
 };
 
 struct StoreOptions {
-  /// Compact when dead records exceed this fraction of the log.
+  /// Compact when the dead share of the current log exceeds this fraction,
+  /// counted in records or in key+value bytes, whichever is larger (see
+  /// LocalStore::dead_fraction()).
   double compaction_garbage_ratio = 0.5;
-  /// Do not compact below this many records.
+  /// Do not compact while the log holds fewer records than this.
   uint64_t compaction_min_records = 4096;
   /// Durability: when set, every mutation is framed into a segmented WAL on
   /// this backend and Recover() rebuilds from the newest checkpoint plus the
@@ -172,18 +174,13 @@ class LocalStore {
   const StoreStats& stats() const { return stats_; }
   /// Bytes currently held by the record arena (live + garbage).
   size_t arena_bytes() const { return arena_.bytes(); }
-  /// Fraction of the CURRENT log that is dead (superseded or deleted) — the
-  /// compaction trigger's input. Computed over log_size(), which excludes
-  /// records reclaimed by compaction and WAL segments retired by
-  /// checkpoints, so already-reclaimed space never re-counts as garbage.
-  double garbage_ratio() const {
-    return log_.empty()
-               ? 0.0
-               : 1.0 - static_cast<double>(hcount_) / static_cast<double>(log_.size());
-  }
-  /// Alias of garbage_ratio(); the churn harness asserts this stays below
-  /// the compaction threshold plus slack.
-  double dead_fraction() const { return garbage_ratio(); }
+  /// Dead (superseded or deleted) share of the CURRENT log — the one
+  /// compaction input: the larger of the dead fraction of log_size()
+  /// records and of arena_bytes(). Records bound the index memory, bytes
+  /// the arena; a few large dead values or many tiny dead records each
+  /// trip it. Reclaimed space never re-counts as garbage: compaction and
+  /// checkpointed recovery drop it from both the log and the arena.
+  double dead_fraction() const;
 
   /// Crash-recovery entry point. With a WAL backend attached: discards ALL
   /// in-memory state and rebuilds from the newest checkpoint manifest plus a
@@ -233,6 +230,7 @@ class LocalStore {
 
     std::string_view key() const { return {data, key_len}; }
     std::string_view value() const { return {data + key_len, value_len}; }
+    uint64_t bytes() const { return uint64_t{key_len} + value_len; }
   };
 
   /// Robin-hood open-addressing slot: probes are kept sorted by distance
@@ -285,12 +283,18 @@ class LocalStore {
   /// Appends one live (key, pos) record to the indexes; used by the
   /// rebuild paths (Compact/Recover), which feed keys in sorted order.
   void IndexLiveRecord(uint64_t pos);
+  /// Empties both indexes and the live-slot table (the log is untouched).
+  void ClearIndexes();
+  /// Appends a put record and points the indexes at it: an overwrite
+  /// repoints the key's live slot, a new key gets one.
+  void IndexPut(std::string_view key, std::string_view value, bool count_stats);
+  /// Marks the live record at hash slot `hidx` dead and unindexes its key.
+  void Unlink(size_t hidx);
 
   void MaybeCompact();
   void MaybeCheckpoint();
-  /// Recovery-replay mutations: like Put/Delete but without WAL echo,
-  /// compaction/checkpoint triggers, or cumulative stats counting.
-  void ReplayPut(std::string_view key, std::string_view value);
+  /// Recovery-replay delete: like Delete but without WAL echo, a log
+  /// record, compaction/checkpoint triggers, or cumulative stats counting.
   void ReplayDelete(std::string_view key);
   /// In-memory-only rebuild (the seed behavior; used when wal_ is null).
   Status RecoverFromMemoryLog();
@@ -313,6 +317,7 @@ class LocalStore {
 
   std::vector<HashSlot> htable_;
   size_t hcount_ = 0;  // == number of live keys
+  uint64_t live_bytes_ = 0;  // key+value bytes of the live records
 
   // Durability: present iff StoreOptions::wal_backend was set.
   std::unique_ptr<wal::Wal> wal_;

@@ -1,6 +1,6 @@
 // LocalStore key layouts for the versioned storage roles one node plays
-// simultaneously (Fig. 3): data storage node, index node, inverse node, and
-// relation coordinator. Layouts are prefix-free across namespaces and
+// simultaneously (Fig. 3): data storage node, index node and relation
+// coordinator. Layouts are prefix-free across namespaces and
 // relations, and ordered so that the versions of one data key, page
 // partition or relation's coordinator records sit together oldest-first
 // (the GC retirement pass walks them that way). The id list below carries a
@@ -24,7 +24,6 @@ namespace orchestra::storage::keys {
 // (docs/STATIC_ANALYSIS.md#codec-rawkey).
 inline constexpr char kDataTag = 'D';
 inline constexpr char kPageTag = 'P';
-inline constexpr char kInverseTag = 'I';
 inline constexpr char kCoordTag = 'C';
 inline constexpr char kCatalogTag = 'M';
 inline constexpr char kClaimTag = 'E';
@@ -90,11 +89,6 @@ class IdListWriter {
 /// Index-node page record: 'P' <rel> <partition:4B BE> <epoch:8B BE>
 std::string PageRec(std::string_view relation, Epoch epoch, uint32_t partition);
 
-/// Inverse-node record: 'I' <rel> <partition:4B BE>  ->  latest PageId.
-/// "look up the page holding the old version of the tuple using an inverse
-/// node" (§IV).
-std::string Inverse(std::string_view relation, uint32_t partition);
-
 /// Relation-coordinator record: 'C' <rel> <epoch:8B BE>
 std::string Coord(std::string_view relation, Epoch epoch);
 
@@ -107,7 +101,7 @@ std::string Catalog(std::string_view relation);
 /// and is retired by GC like coordinator records once below the watermark.
 std::string EpochClaim(Epoch epoch);
 
-// --- Inverse parsers, used by the GC retirement pass --------------------
+// --- Key parsers, used by the GC retirement pass -----------------------
 // Each returns false on malformed input (wrong tag, truncation, trailing
 // bytes). The parsed views alias `key`.
 
@@ -141,14 +135,6 @@ bool ParseClaim(std::string_view key, Epoch* out);
 /// Epoch of a versioned key — a data, page, coordinator or claim record —
 /// through its family's parser; false for other families and malformed keys.
 bool ParseVersionEpoch(std::string_view key, Epoch* out);
-
-/// Fields of an inverse-node key: relation, partition (no epoch — the value
-/// holds the latest PageId).
-struct ParsedInverseKey {
-  std::string_view relation;
-  uint32_t partition = 0;
-};
-bool ParseInverse(std::string_view key, ParsedInverseKey* out);
 
 /// Version-group prefix of a data or page key: the key minus its trailing
 /// 8-byte big-endian epoch. Keys of one group differ only in epoch and sort

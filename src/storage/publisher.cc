@@ -373,9 +373,9 @@ void Publisher::FetchPages(Handle st) {
   }
 
   // Stage 2: fetch the current page of each affected partition. The paper
-  // locates it via the inverse node (§IV); with the coordinator record in
-  // hand the descriptor already names it, so we go straight to the index
-  // node.
+  // locates it via an inverse node (§IV); here the base epoch's coordinator
+  // record already names it, so we go straight to the index node and no
+  // inverse record is stored at all.
   //
   // Chained publishes: a descriptor at an uncommitted ancestor's epoch names
   // a page that may still be in flight to its index nodes — it MUST be taken
@@ -506,8 +506,10 @@ void Publisher::Apply(Handle st) {
       page.hashes.push_back(*row.hash);
     }
     st->partition_nonempty[pw.relation][pw.partition] = !page.ids.empty();
-    // Empty pages are still written (they keep the inverse node current);
-    // they simply carry no descriptor in the new coordinator record.
+    // Empty pages are still written: the empty version supersedes the
+    // partition's older versions, so VersionRule can retire them once the
+    // watermark passes it. They carry no descriptor in the new coordinator
+    // record.
     st->new_pages.push_back(std::move(page));
   }
 

@@ -85,15 +85,6 @@ Result<Page> StorageService::ReadPageLocal(const PageId& id) const {
   return page;
 }
 
-Result<PageId> StorageService::ReadInverseLocal(const std::string& rel,
-                                                uint32_t partition) const {
-  ORC_ASSIGN_OR_RETURN(std::string bytes, store_.Get(keys::Inverse(rel, partition)));
-  Reader r(bytes);
-  PageId id;
-  ORC_RETURN_IF_ERROR(PageId::DecodeFrom(&r, &id));
-  return id;
-}
-
 Result<std::string_view> StorageService::ReadTupleBytesLocal(
     std::string_view rel, const TupleId& id) const {
   const RelationDef* def = FindRelation(rel);
@@ -163,8 +154,8 @@ void StorageService::OnConnectionDrop(net::NodeId peer) {
 void StorageService::OnMessage(net::NodeId from, uint16_t code,
                                const std::string& payload) {
   // Every storage code, one row each: the one place this node's data
-  // storage, index, inverse and relation-coordinator roles (Fig. 3) are
-  // served from. Code 7 is retired.
+  // storage, index and relation-coordinator roles (Fig. 3) are served
+  // from. Code 7 is retired.
   struct Route {
     uint16_t code;
     bool one_way;
@@ -653,13 +644,6 @@ void StorageService::StorePage(const PageId& id, std::string_view page_bytes,
   const bool marked = MarkGroup(key, id.epoch);
   ChargeCpu(host_->network()->costs().index_entry_us *
             static_cast<double>(entries + marked));
-  // Inverse node bookkeeping: latest page for this partition (§IV).
-  auto cur = ReadInverseLocal(id.relation, id.partition);
-  if (!cur.ok() || cur.value().epoch <= id.epoch) {
-    Writer iw;
-    id.EncodeTo(&iw);
-    store_.Put(keys::Inverse(id.relation, id.partition), iw.data()).ok();
-  }
   if (marked && id.epoch > gc_watermark_) {
     gc_due_.emplace(keys::VersionGroupPrefix(key));
     ScheduleRetirement();
@@ -884,75 +868,16 @@ void StorageService::PurgeEpochLocal(Epoch epoch) {
   // references once the GC watermark passes it. One ordered pass per family.
   std::vector<std::string> doomed;
   uint64_t scanned = 0;
-  for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kDataTag)); it.Valid();
-       it.Next()) {
-    ++scanned;
-    keys::ParsedDataKey dk;
-    if (keys::ParseData(it.key(), &dk) && dk.epoch == epoch) {
-      doomed.emplace_back(it.key());
-    }
-  }
-  // Page purge also tracks, per purged partition, the newest SURVIVING page
-  // version so inverse entries can be re-aimed below — discovery must never
-  // see an inverse pointing at a purged page (torn state).
-  struct PurgedPartition {
-    std::string relation;
-    uint32_t partition = 0;
-    Epoch newest_surviving = 0;
-    bool any_surviving = false;
-  };
-  std::vector<PurgedPartition> purged_parts;
-  {
-    std::string group;
-    bool group_purged = false;
-    PurgedPartition part;
-    auto flush = [&] {
-      if (group_purged) purged_parts.push_back(part);
-      group_purged = false;
-      part = PurgedPartition{};
-    };
-    for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kPageTag));
-         it.Valid(); it.Next()) {
+  for (char tag : {keys::kDataTag, keys::kPageTag, keys::kCoordTag}) {
+    for (auto it = store_.SeekPrefix(keys::TagPrefix(tag)); it.Valid(); it.Next()) {
       ++scanned;
-      keys::ParsedPageKey pk;
-      if (!keys::ParsePageRec(it.key(), &pk)) continue;
-      std::string_view g = keys::VersionGroupPrefix(it.key());
-      if (g != group) {
-        flush();
-        group.assign(g);
-      }
-      if (pk.epoch == epoch) {
+      Epoch e;
+      if (keys::ParseVersionEpoch(it.key(), &e) && e == epoch) {
         doomed.emplace_back(it.key());
-        group_purged = true;
-        part.relation.assign(pk.relation);
-        part.partition = pk.partition;
-      } else {
-        part.any_surviving = true;
-        part.newest_surviving = std::max(part.newest_surviving, pk.epoch);
       }
-    }
-    flush();
-  }
-  for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kCoordTag));
-       it.Valid(); it.Next()) {
-    ++scanned;
-    keys::ParsedCoordKey ck;
-    if (keys::ParseCoord(it.key(), &ck) && ck.epoch == epoch) {
-      doomed.emplace_back(it.key());
     }
   }
   for (const std::string& key : doomed) store_.Delete(key).ok();
-  for (const PurgedPartition& pp : purged_parts) {
-    auto inv = ReadInverseLocal(pp.relation, pp.partition);
-    if (!inv.ok() || inv.value().epoch != epoch) continue;
-    if (pp.any_surviving) {
-      Writer iw;
-      PageId{pp.relation, pp.newest_surviving, pp.partition}.EncodeTo(&iw);
-      store_.Put(keys::Inverse(pp.relation, pp.partition), iw.data()).ok();
-    } else {
-      store_.Delete(keys::Inverse(pp.relation, pp.partition)).ok();
-    }
-  }
   counters_.purged_orphans += doomed.size();
   ChargeCpu(host_->network()->costs().tuple_scan_us *
             static_cast<double>(scanned + doomed.size()));
@@ -1361,15 +1286,6 @@ void StorageService::RebalanceTo(const overlay::RoutingSnapshot& snap) {
         if (def == catalog_.end()) continue;
         targets = snap.ReplicasOf(
             PartitionHome(pk.partition, def->second.num_partitions), replication_);
-        break;
-      }
-      case keys::kInverseTag: {
-        keys::ParsedInverseKey ik;
-        if (!keys::ParseInverse(key, &ik)) continue;
-        auto def = catalog_.find(std::string(ik.relation));
-        if (def == catalog_.end()) continue;
-        targets = snap.ReplicasOf(
-            PartitionHome(ik.partition, def->second.num_partitions), replication_);
         break;
       }
       case keys::kCoordTag: {

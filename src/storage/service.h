@@ -1,7 +1,9 @@
 // StorageService: the per-node endpoint of the versioned storage protocol.
-// Every node simultaneously plays all Fig. 3 roles for the key ranges it
-// owns/replicates: relation coordinator, index node, inverse node, and data
-// storage node. The service also implements the client side of
+// Every node simultaneously plays the stored Fig. 3 roles for the key ranges
+// it owns/replicates: relation coordinator, index node and data storage
+// node. No inverse node is kept: a publisher finds a partition's current
+// page through the base epoch's coordinator record (§IV deviation). The
+// service also implements the client side of
 // Retrieve(R, e, f) — Algorithm 1 — with replica-retry on missing state, so
 // a retrieval can never observe stale data: a tuple version is reachable
 // only through the epoch's page list (§IV).
@@ -97,9 +99,8 @@ enum StorageCode : uint16_t {
   // nothing, since the round may still be refused elsewhere. Only the
   // fencer's kPurgeEpoch after a unanimous round makes the burn kPurged and
   // purges the owner's orphan versions (data/page/coordinator records at
-  // that epoch, plus inverse entries that pointed at them). Refused while
-  // the owner is fresh (its claim refreshes
-  // beat the TTL), once the epoch committed, when the slot changed hands, or
+  // that epoch). Refused while the owner is fresh (its claim refreshes beat
+  // the TTL), once the epoch committed, when the slot changed hands, or
   // behind the confirmed frontier. The reply body names the fenced instance
   // (participant, node, nonce). Safety rides the same single-failure overlap
   // argument as claims: a fence needs EVERY live claim replica, so it cannot
@@ -164,7 +165,6 @@ class StorageService : public net::Service {
   std::vector<std::string> RelationNames() const;
   Result<CoordinatorRecord> ReadCoordinatorLocal(const std::string& rel, Epoch e) const;
   Result<Page> ReadPageLocal(const PageId& id) const;
-  Result<PageId> ReadInverseLocal(const std::string& rel, uint32_t partition) const;
   /// Zero-copy read of one tuple version's stored (encoded) bytes; computes
   /// the placement hash. The view is valid until the next store mutation.
   Result<std::string_view> ReadTupleBytesLocal(std::string_view rel,
@@ -428,8 +428,8 @@ class StorageService : public net::Service {
   Status HandlePurgeEpoch(net::NodeId from, Reader* r, Writer* reply);
   /// The stored record at `key` as the reply body, or the store's status.
   Status ServeRecord(std::string_view key, Writer* reply) const;
-  /// Stores one page version (its full encoding), updates the inverse node,
-  /// and marks the partition's version group. A write above the watermark
+  /// Stores one page version (its full encoding) and marks the partition's
+  /// version group. A write above the watermark
   /// also makes the group due now, so a hot partition's superseded versions
   /// retire at the pace of its writes; the new version itself — which may
   /// yet turn out torn — is never the survivor that retires its base.
@@ -469,10 +469,8 @@ class StorageService : public net::Service {
   /// no-op if the local claim committed (a commit is a fact a fence never
   /// overrides) or the burn is already known.
   void MergeFencedEpoch(Epoch epoch, ParticipantId participant, uint64_t nonce);
-  /// Deletes every data/page/coordinator version stored at `epoch` and
-  /// repairs inverse entries that pointed at a purged page (re-aimed at the
-  /// newest surviving version, or dropped when none survives), so discovery
-  /// never sees torn state after a fence.
+  /// Deletes every data/page/coordinator version stored at `epoch`, so
+  /// discovery never sees torn state after a fence.
   void PurgeEpochLocal(Epoch epoch);
   void ScanCheckDone(uint64_t scan_id);
   void ScanFail(uint64_t scan_id, Status st);

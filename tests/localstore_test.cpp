@@ -128,6 +128,27 @@ TEST(LocalStore, CompactionPreservesContentAndReclaimsLog) {
   EXPECT_EQ(store.entry_count(), 20u);
 }
 
+// A few large dead values are most of the bytes but few of the records: the
+// byte count alone must trip compaction. 20 of 220 records end dead, holding
+// about 99% of the arena.
+TEST(LocalStore, CompactionCountsDeadBytes) {
+  StoreOptions opts;
+  opts.compaction_min_records = 100;
+  opts.compaction_garbage_ratio = 0.5;
+  LocalStore store(opts);
+  auto key = [](int k) { return StrCat({"k", std::to_string(k)}); };
+  for (int k = 0; k < 200; ++k) ASSERT_TRUE(store.Put(key(k), "small").ok());
+  for (int k = 0; k < 10; ++k) {
+    ASSERT_TRUE(store.Put(key(k), std::string(64 << 10, 'x')).ok());
+  }
+  for (int k = 0; k < 10; ++k) ASSERT_TRUE(store.Put(key(k), "small").ok());
+  EXPECT_GE(store.stats().compactions, 1u);
+  EXPECT_LT(store.arena_bytes(), 16u << 10);
+  EXPECT_LE(store.dead_fraction(), 0.5);
+  EXPECT_EQ(store.entry_count(), 200u);
+  for (int k = 0; k < 200; ++k) EXPECT_EQ(*store.Get(key(k)), "small");
+}
+
 TEST(LocalStore, StatsTrackOperations) {
   LocalStore store;
   store.Put("a", "1").ok();
@@ -200,7 +221,9 @@ TEST(LocalStore, StatsReadCountingOnConstStore) {
 }
 
 // Property test: Put/Delete/Compact/Recover round-trip equivalence against a
-// model map, including prefix-scan bounds, under aggressive compaction.
+// model map, including prefix-scan bounds, under aggressive compaction. Values
+// range from 1 byte to 2 KiB, and once the log reaches the compaction floor
+// the arena never holds more than the live bytes / (1 - ratio).
 class LocalStoreProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LocalStoreProperty, EquivalentToModelUnderChurn) {
@@ -209,6 +232,13 @@ TEST_P(LocalStoreProperty, EquivalentToModelUnderChurn) {
   opts.compaction_min_records = 128;
   LocalStore store(opts);
   std::map<std::string, std::string> model;
+  uint64_t model_live_bytes = 0;  // key+value bytes of the model's entries
+  auto erase = [&](const std::string& k) {
+    auto it = model.find(k);
+    if (it == model.end()) return;
+    model_live_bytes -= k.size() + it->second.size();
+    model.erase(it);
+  };
   Rng rng(GetParam() * 7919 + 13);
   const std::vector<std::string> prefixes = {"D/r1/", "D/r2/", "P/", "C/", ""};
   for (int op = 0; op < 8000; ++op) {
@@ -220,22 +250,33 @@ TEST_P(LocalStoreProperty, EquivalentToModelUnderChurn) {
       case 1:
       case 2:
       case 3: {
-        std::string v = rng.AlphaString(1 + rng.Uniform(64));
+        std::string v = rng.AlphaString(
+            rng.Uniform(8) == 0 ? 256 + rng.Uniform(1792) : 1 + rng.Uniform(64));
         ASSERT_TRUE(store.Put(k, v).ok());
+        erase(k);
+        model_live_bytes += k.size() + v.size();
         model[k] = v;
         break;
       }
       case 4:
       case 5:
         ASSERT_TRUE(store.Delete(k).ok());
-        model.erase(k);
+        erase(k);
         break;
       case 6:
         store.Compact();
         break;
       case 7:
+        // Without a WAL, Recover re-indexes the same log and arena, so the
+        // bound below holds across it too.
         ASSERT_TRUE(store.Recover().ok());
         break;
+    }
+    if (store.log_size() >= opts.compaction_min_records) {
+      ASSERT_LE(static_cast<double>(store.arena_bytes()),
+                static_cast<double>(model_live_bytes) /
+                    (1 - opts.compaction_garbage_ratio))
+          << "op " << op;
     }
     if (op % 997 == 0) {
       // Full ordered sweep matches the model exactly.

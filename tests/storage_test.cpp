@@ -1182,6 +1182,18 @@ std::string ConfirmBody(Epoch e, uint32_t participant, uint32_t node,
 }
 
 // A one-page kPutPage frame carrying `page` whole.
+// Data, page and coordinator versions a node stores at `epoch`.
+size_t VersionsAt(StorageService& svc, Epoch epoch) {
+  size_t n = 0;
+  for (char tag : {keys::kDataTag, keys::kPageTag, keys::kCoordTag}) {
+    for (auto it = svc.store().SeekPrefix(keys::TagPrefix(tag)); it.Valid(); it.Next()) {
+      Epoch e;
+      if (keys::ParseVersionEpoch(it.key(), &e) && e == epoch) ++n;
+    }
+  }
+  return n;
+}
+
 std::string FullPageFrame(const Page& page) {
   Writer pw;
   page.EncodeTo(&pw);
@@ -1313,9 +1325,8 @@ TEST_F(FencingTest, FenceGrantIsAPromiseUntilPurged) {
 }
 
 // The purge atomically retires a torn publish's discovery state: orphan
-// coordinator and page records vanish together with the inverse entries
-// re-aimed at surviving versions, so reads at the burned epoch get a clean
-// definitive NotFound — never a half-discovered mix — and the fenced
+// coordinator and page records vanish together, so reads at the burned
+// epoch get a clean definitive NotFound — never a half-discovered mix — and the fenced
 // instance's late writes are refused everywhere afterwards.
 TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 4)).ok());
@@ -1380,11 +1391,9 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   auto at2 = dep->Retrieve(1, "R", 2);
   ASSERT_TRUE(at2.ok()) << at2.status().ToString();
   EXPECT_EQ(AsBag(*at2), AsBag({Row("a", "1"), Row("b", "2")}));
-  // No node's inverse entry aims at the purged page (torn discovery state).
+  // No node keeps a data, page or coordinator version at the purged epoch.
   for (size_t n = 0; n < dep->size(); ++n) {
-    auto aimed = dep->storage(n).ReadInverseLocal("R", part);
-    if (!aimed.ok()) continue;  // no entry at all is fine
-    EXPECT_NE(aimed->epoch, 3u) << "node " << n << " inverse aims at purged page";
+    EXPECT_EQ(VersionsAt(dep->storage(n), 3), 0u) << "node " << n;
   }
 
   // The fenced instance's late same-epoch writes are refused everywhere.
@@ -1508,10 +1517,6 @@ TEST_F(PageWriteTest, DeltaStoresExactlyTheFullEncoding) {
   EXPECT_EQ(*stored, Encoded(next));
   EXPECT_EQ(dep->storage(1).counters().page_delta_fallbacks, 0u);
   EXPECT_EQ(dep->storage(1).counters().pages_stored, 2u);
-  // The inverse node follows the delta-written version.
-  auto inv = dep->storage(1).ReadInverseLocal("R", 1);
-  ASSERT_TRUE(inv.ok());
-  EXPECT_EQ(*inv, next.desc.id);
 }
 
 TEST_F(PageWriteTest, MissingBaseIsRefusedThenTheFullResendStoresTheSameBytes) {
@@ -1621,6 +1626,47 @@ TEST_F(PageWriteTest, FencedOrTornSupersedingVersionNeverRetiresItsBase) {
   EXPECT_TRUE(present(2, 4));
   EXPECT_FALSE(present(2, 8));
   EXPECT_FALSE(present(2, 20));
+}
+
+// Every stored key belongs to a family RebalanceTo places; it skips any
+// other tag, so a record outside them would never be re-replicated. The
+// census runs after every path that writes or deletes stored records.
+TEST_F(PageWriteTest, EveryStoredKeyIsInAFamilyRebalancePlaces) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 4)).ok());
+  for (int i = 0; i < 3; ++i) {
+    UpdateBatch b;
+    b["R"] = {Update::Insert(Row(StrCat({"k", std::to_string(i)}), "v")),
+              Update::Insert(Row("a", std::to_string(i)))};
+    ASSERT_TRUE(dep->Publish(0, std::move(b)).ok());
+  }
+  // A delta page write, then a fence purge of its epoch on every node.
+  const Page base = MakePage(1, 10, {{"a", 1}, {"b", 1}});
+  const Page next = MakePage(1, 11, {{"a", 1}, {"c", 11}});
+  ASSERT_TRUE(Rpc(1, kPutPage, FullPageFrame(base)).first.ok());
+  auto [s, reply] = Rpc(1, kPutPage, DeltaFrame(base, next));
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_TRUE(Refused(reply).empty());
+  ASSERT_TRUE(Stored(1, next.desc.id).ok());
+  for (size_t n = 0; n < dep->size(); ++n) {
+    dep->storage(0).SendOneWay(static_cast<net::NodeId>(n), kPurgeEpoch,
+                               PurgeBody(11, 7, 9));
+  }
+  dep->RunFor(sim::kMicrosPerSec / 5);
+  for (size_t n = 0; n < dep->size(); ++n) dep->storage(n).SetGcWatermark(2);
+  const net::NodeId fresh = dep->AddNode();  // every node runs RebalanceTo
+  dep->RunFor(10 * sim::kMicrosPerSec);
+  EXPECT_GT(dep->storage(fresh).store().entry_count(), 0u);
+
+  const std::string placed = {keys::kDataTag, keys::kPageTag, keys::kCoordTag,
+                              keys::kCatalogTag, keys::kClaimTag};
+  for (size_t n = 0; n < dep->size(); ++n) {
+    EXPECT_EQ(VersionsAt(dep->storage(n), 11), 0u) << "node " << n;
+    for (auto it = dep->storage(n).store().Seek(""); it.Valid(); it.Next()) {
+      EXPECT_NE(placed.find(keys::Tag(it.key())), std::string::npos)
+          << "node " << n << " stores a key of family '" << keys::Tag(it.key())
+          << "', outside the five RebalanceTo places";
+    }
+  }
 }
 
 TEST_F(PageWriteTest, PublisherReusesOnlyItsOwnExactCommittedPage) {
