@@ -517,12 +517,6 @@ void LocalStore::Unlink(size_t hidx) {
   HashEraseAt(hidx);
 }
 
-void LocalStore::ReplayDelete(std::string_view key) {
-  size_t hidx = HashFind(HashKey(key), key);
-  if (hidx == kNoSlot) return;  // deleting a key the checkpoint already folded
-  Unlink(hidx);
-}
-
 Status LocalStore::Recover() {
   if (wal_ == nullptr) return RecoverFromMemoryLog();
 
@@ -543,7 +537,9 @@ Status LocalStore::Recover() {
     }
     ++tail_records;
     if (type == wal::RecordType::kDelete) {
-      ReplayDelete(key);
+      // Absent when the checkpoint already folded the delete.
+      size_t hidx = HashFind(HashKey(key), key);
+      if (hidx != kNoSlot) Unlink(hidx);
     } else {
       IndexPut(key, value, /*count_stats=*/false);
     }

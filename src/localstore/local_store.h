@@ -293,9 +293,6 @@ class LocalStore {
 
   void MaybeCompact();
   void MaybeCheckpoint();
-  /// Recovery-replay delete: like Delete but without WAL echo, a log
-  /// record, compaction/checkpoint triggers, or cumulative stats counting.
-  void ReplayDelete(std::string_view key);
   /// In-memory-only rebuild (the seed behavior; used when wal_ is null).
   Status RecoverFromMemoryLog();
 

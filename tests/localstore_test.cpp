@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -277,6 +278,14 @@ TEST_P(LocalStoreProperty, EquivalentToModelUnderChurn) {
                 static_cast<double>(model_live_bytes) /
                     (1 - opts.compaction_garbage_ratio))
           << "op " << op;
+    }
+    // The store's live-byte count matches the model through every mutation,
+    // compaction and rebuild.
+    if (store.log_size() > 0) {
+      double live = std::min(
+          static_cast<double>(store.entry_count()) / static_cast<double>(store.log_size()),
+          static_cast<double>(model_live_bytes) / static_cast<double>(store.arena_bytes()));
+      ASSERT_NEAR(store.dead_fraction(), 1 - live, 1e-9) << "op " << op;
     }
     if (op % 997 == 0) {
       // Full ordered sweep matches the model exactly.

@@ -442,6 +442,36 @@ TEST(LocalStoreWal, CrashRecoverMatchesModel) {
   EXPECT_FALSE(it.Valid());
 }
 
+// Recovery rebuilds the live-byte count from the checkpoint and the tail:
+// after a crash the dead fraction is exactly the larger of the dead-record
+// and dead-byte shares of the rebuilt log. Large values overwritten in the
+// tail make the byte share the larger one.
+TEST(LocalStoreWal, RecoveryRebuildsTheDeadFraction) {
+  auto backend = std::make_shared<MemoryBackend>();
+  localstore::LocalStore store(
+      DurableOptions(backend, /*checkpoint_every=*/0, /*sync_every=*/1));
+  std::map<std::string, std::string> model;
+  auto put = [&](const std::string& k, std::string v) {
+    ASSERT_TRUE(store.Put(k, v).ok());
+    model[k] = std::move(v);
+  };
+  for (int i = 0; i < 100; ++i) put(StrCat({"k", std::to_string(i)}), "small");
+  for (int i = 0; i < 5; ++i) put(StrCat({"k", std::to_string(i)}), std::string(16 << 10, 'x'));
+  ASSERT_TRUE(store.Checkpoint().ok());
+  for (int i = 0; i < 5; ++i) put(StrCat({"k", std::to_string(i)}), "small");
+  ASSERT_TRUE(store.Delete("k99").ok());
+  model.erase("k99");
+
+  backend->Crash();
+  ASSERT_TRUE(store.Recover().ok());
+  ASSERT_EQ(store.entry_count(), model.size());
+  double live_bytes = 0;
+  for (const auto& [k, v] : model) live_bytes += static_cast<double>(k.size() + v.size());
+  const double dead_bytes = 1 - live_bytes / static_cast<double>(store.arena_bytes());
+  EXPECT_GT(dead_bytes, 0.9);
+  EXPECT_NEAR(store.dead_fraction(), dead_bytes, 1e-9);
+}
+
 TEST(LocalStoreWal, RepeatedCrashesStayDeterministic) {
   // Same seed, same crash points => byte-identical WAL state and identical
   // recovered stores across two independent runs.
